@@ -31,6 +31,7 @@ from .localize import (
     bps_from_localization,
     chern_character_at,
     curve_contribution,
+    euler_ratio,
     ext_decompose,
     format_descriptor,
     line_bundle_on_curve,
@@ -53,13 +54,11 @@ from .rootsys import (
 from .symring import (
     EulerClass,
     LaurentPoly,
-    PointClassElem,
-    RatFn,
+    Quotient,
     VirtualCharacter,
-    dualize,
     euler_class,
     expfactor,
-    integrate_point_class,
+    expfactors,
     to_polynomial,
 )
 

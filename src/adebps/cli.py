@@ -17,7 +17,7 @@ from .folding import Marking, bps_table, lift, parse_marking
 from .localize import (
     DescriptorError,
     GeometryDescriptor,
-    bps_from_localization,
+    euler_ratio,
     ext_decompose,
     format_descriptor,
     parse_descriptor,
@@ -25,7 +25,6 @@ from .localize import (
     validate_descriptor,
 )
 from .rootsys import build_diagram, enumerate_positive_roots
-from .symring import euler_class
 from .verify import run_checks
 
 
@@ -37,7 +36,9 @@ def _load_marking(args) -> Marking:
 
 
 def _load_geometry(args) -> tuple[Marking, GeometryDescriptor]:
-    if getattr(args, "case", None):
+    if args.case:
+        if args.marking or args.descriptor:
+            raise ValueError("--case cannot be combined with --marking or --descriptor")
         return catalog.load_case(args.case)
     if not (args.marking and args.descriptor):
         raise ValueError("need --case, or both --marking and --descriptor")
@@ -45,7 +46,8 @@ def _load_geometry(args) -> tuple[Marking, GeometryDescriptor]:
         m = parse_marking(fh.read())
     with open(args.descriptor, encoding="utf-8") as fh:
         g = parse_descriptor(fh.read())
-    validate_descriptor(g, m)
+    for warning in validate_descriptor(g, m):
+        print(f"warning: {warning}", file=sys.stderr)
     return m, g
 
 
@@ -113,8 +115,7 @@ def cmd_localize(args) -> int:
         raise ValueError(f"class {args.cls} does not come from a positive root")
     chi = total_chi(lft, g, m)
     dec = ext_decompose(chi, serre_weight=-g.canonical_weight)
-    e1, e2 = euler_class(dec.ext1), euler_class(dec.ext2)
-    n = bps_from_localization(cls, m, g)
+    e1, e2, n = euler_ratio(dec)
     if args.format == "json":
         print(json.dumps({
             "class": list(cls),

@@ -25,12 +25,13 @@ from fractions import Fraction
 from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift
 from .rootsys import cartan_pairing
 from .symring import (
+    EulerClass,
     LaurentPoly,
-    PointClassElem,
-    RatFn,
+    Quotient,
     VirtualCharacter,
     euler_class,
     expfactor,
+    expfactors,
     to_polynomial,
 )
 
@@ -95,14 +96,11 @@ def _node_of(label: str, labels: dict[str, int]) -> int:
         raise DescriptorError(f"unknown divisor label {label!r}") from None
 
 
-def _euler_by_todd(weights) -> LaurentPoly:
-    """e(N)/td at a fixed point: one factor (1 - mu^-w) per tangent weight."""
-    out = LaurentPoly.one()
-    for w in weights:
-        if w == 0:
-            raise DescriptorError("tangent weight 0: degenerate fixed point")
-        out = out * expfactor(-w)
-    return out
+def _euler_by_todd(weights) -> tuple[int, ...]:
+    """e(N)/td at a fixed point: one factor 1 - mu^a, a = -w, per tangent weight w."""
+    if 0 in weights:
+        raise DescriptorError("tangent weight 0: degenerate fixed point")
+    return tuple(-w for w in weights)
 
 
 def line_bundle_weight_at_point(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> int:
@@ -141,38 +139,41 @@ def _unit(rank: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(rank))
 
 
-def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> RatFn:
+def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Residue summand of one isolated surface point, image prefactor included."""
     y = g.y_point(q.image)
     w = line_bundle_weight_at_point(lft, q, g, m)
-    num = _euler_by_todd(y.weights) * expfactor(w)
-    den = _euler_by_todd(q.weights)
-    return RatFn(num, den)
+    return Quotient(expfactors(_euler_by_todd(y.weights) + (w,)), _euler_by_todd(q.weights))
 
 
-def curve_contribution(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> RatFn:
+def curve_contribution(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Residue summand of a pointwise-fixed curve, pushed down to its image.
 
-    Works in the nilpotent ring over the curve: the tangent line has
-    weight 0 and degree 2 (Todd factor 1 + x), the normal line has the
-    recorded weight and degree equal to the self-intersection.
+    Over the curve, with x its point class (x^2 = 0), the restriction is
+    A + A'x with A = 1 - mu^w, A' = -d*mu^w; the tangent line has weight
+    0 and degree 2 (Todd factor 1 + x); the normal line gives B + B'x
+    with B = 1 - mu^-n, B' = s*mu^-n for normal weight n and
+    self-intersection s.  The push-down is the x-coefficient of
+    (A + A'x)(1 + x)/(B + B'x), that is ((A + A')B - AB')/B^2.
     """
     if e not in g.s_curves:
         raise DescriptorError(f"unknown curve {e.name!r}")
-    if e.normal_weight == 0:
+    n = e.normal_weight
+    if n == 0:
         raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
     y = g.y_point(e.image)
     w, d = line_bundle_on_curve(lft, e, g, m)
-    restriction = 1 - PointClassElem.exponential(w, d)
-    td_tangent = PointClassElem(1, Fraction(1))  # series of x/(1-e^-x) at degree 2
-    normal = 1 - PointClassElem.exponential(-e.normal_weight, -e.self_intersection)
-    integrand = restriction * td_tangent * normal.inverse()
-    return RatFn(_euler_by_todd(y.weights)) * integrand.integrate()
+    a = expfactor(w)
+    a1 = LaurentPoly({w: -d})
+    b = expfactor(-n)
+    b1 = LaurentPoly({-n: e.self_intersection})
+    num = expfactors(_euler_by_todd(y.weights)) * ((a + a1) * b - a * b1)
+    return Quotient(num, (-n, -n))
 
 
-def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> RatFn:
+def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    total = RatFn(0)
+    total = Quotient()
     for q in g.s_points:
         if q.image == p.name:
             total = total + point_contribution(lft, q, g, m)
@@ -186,15 +187,15 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     """Full equivariant Euler pairing as an integer character.
 
     Sums ch^dual * ch / (e(N)/td) over the threefold fixed points; the
-    result must reduce to an honest Laurent polynomial with integer
+    result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    total = RatFn(0)
+    total = Quotient()
     for p in g.y_points:
         ch = chern_character_at(p, lft, g, m)
         if not ch:
             continue
-        total = total + ch.dual() * ch / RatFn(_euler_by_todd(p.weights))
+        total = total + ch.dual() * ch * Quotient(1, _euler_by_todd(p.weights))
     return to_polynomial(total)
 
 
@@ -229,18 +230,22 @@ def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposit
     return ExtDecomposition(ext1=ext1, ext2=ext2, serre_weight=serre_weight)
 
 
+def euler_ratio(dec: ExtDecomposition) -> tuple[EulerClass, EulerClass, Fraction]:
+    """(e(ext1), e(ext2), n) with the invariant n = e(ext2) / e(ext1)."""
+    e1 = euler_class(dec.ext1)
+    e2 = euler_class(dec.ext2)
+    if e2.degree != e1.degree:
+        raise ValueError("equivariant degrees of the two Euler classes do not cancel")
+    return e1, e2, Fraction(e2.scalar, e1.scalar)
+
+
 def bps_from_localization(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Fraction:
     """Invariant of a class as the Euler-class ratio at its fixed sheaf."""
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {cls!r} does not come from a positive root")
     chi = total_chi(lft, g, m)
-    dec = ext_decompose(chi, serre_weight=-g.canonical_weight)
-    e2 = euler_class(dec.ext2)
-    e1 = euler_class(dec.ext1)
-    if e2.degree != e1.degree:
-        raise ValueError("equivariant degrees of the two Euler classes do not cancel")
-    return Fraction(e2.scalar, e1.scalar)
+    return euler_ratio(ext_decompose(chi, serre_weight=-g.canonical_weight))[2]
 
 
 # -- descriptor validation -------------------------------------------------

@@ -1,38 +1,33 @@
 """Exact symbolic arithmetic in a single equivariant variable.
 
-Everything is built on Laurent polynomials in ``mu`` with exact rational
-coefficients (``mu`` plays the role of e^t, with t the torus parameter).
-On top of those sit their fraction field, integer characters of torus
-representations with their equivariant Euler classes, and the two-term
-nilpotent ring a + b*x with x**2 = 0 needed to push classes down from a
-pointwise-fixed rational curve.  No floating point anywhere.
+Everything lives in one integer domain.  A Laurent polynomial in ``mu``
+(``mu`` plays the role of e^t, with t the torus parameter) has integer
+coefficients; an integer character of a torus representation is the
+same object.  A residue summand of the localization formula is a
+``Quotient``: an integer Laurent numerator over a product of factors
+1 - mu^k with k > 0.  Those are the only denominators localization ever
+produces, because a factor 1 - mu^-k is -mu^-k * (1 - mu^k) and its
+sign and monomial move into the numerator.  Summands add over the
+largest exponent of each factor and multiply by adding exponents; no
+gcd is ever taken.
+
+``to_polynomial`` certifies a total by exact division: it divides out
+one factor 1 - mu^k at a time with the integer recurrence
+q_i = n_i + q_(i-k), and raises if any remainder is nonzero.  A product
+of such factors divides the numerator exactly when every step divides,
+and every factor has end coefficients +-1, so the quotient is an integer
+Laurent polynomial.  Rationals appear only in ``evaluate`` at a point
+and in the final ratio of Euler classes.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Tuple, Union
-
-Scalar = Union[int, Fraction]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from typing import Iterable, Mapping, Tuple
 
 
-def _coeff(c: Scalar) -> Fraction:
-    """Coerce to an exact rational; floats are rejected on purpose."""
-    if isinstance(c, bool):
-        raise TypeError("bool is not a coefficient")
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
-    raise TypeError(f"exact rational expected, got {type(c).__name__}")
-
-
-def render_terms(coeffs: Mapping[int, Scalar], var: str = "mu") -> str:
+def render_terms(coeffs: Mapping[int, int], var: str = "mu") -> str:
     """Render sorted by ascending weight with explicit signs, e.g. ``1 - mu^3``."""
     if not coeffs:
         return "0"
@@ -54,18 +49,35 @@ def render_terms(coeffs: Mapping[int, Scalar], var: str = "mu") -> str:
     return " ".join(parts)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _point(x) -> Fraction:
+    """An exact evaluation point; floats are rejected on purpose."""
+    if _is_int(x) or isinstance(x, Fraction):
+        return Fraction(x)
+    raise TypeError(f"exact rational expected, got {type(x).__name__}")
+
+
 class LaurentPoly:
-    """Sparse exact Laurent polynomial; weight -> coefficient, no zeros stored."""
+    """Sparse integer Laurent polynomial; weight -> coefficient, no zeros stored.
+
+    Also the integer character of a torus representation, under the
+    name ``VirtualCharacter``: weight -> multiplicity.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[Tuple[int, Scalar]] = ()):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[Tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for w, c in items:
-            if isinstance(w, bool) or not isinstance(w, int):
+            if not _is_int(w):
                 raise TypeError("weights must be integers")
-            s = acc.get(w, _F0) + _coeff(c)
+            if not _is_int(c):
+                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
+            s = acc.get(w, 0) + c
             if s:
                 acc[w] = s
             else:
@@ -73,7 +85,7 @@ class LaurentPoly:
         self.coeffs = acc
 
     @classmethod
-    def _raw(cls, coeffs: dict[int, Fraction]) -> "LaurentPoly":
+    def _raw(cls, coeffs: dict[int, int]) -> "LaurentPoly":
         out = cls.__new__(cls)
         out.coeffs = coeffs
         return out
@@ -84,41 +96,29 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({0: _F1})
+        return cls._raw({0: 1})
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({0: c})
+    def coefficient(self, w: int) -> int:
+        return self.coeffs.get(w, 0)
 
-    @classmethod
-    def monomial(cls, w: int, c: Scalar = 1) -> "LaurentPoly":
-        return cls({w: c})
+    def dim(self) -> int:
+        return sum(self.coeffs.values())
 
-    def coefficient(self, w: int) -> Fraction:
-        return self.coeffs.get(w, _F0)
-
-    def min_weight(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no weights")
-        return min(self.coeffs)
-
-    def max_weight(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no weights")
-        return max(self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
+    def split(self) -> tuple["LaurentPoly", "LaurentPoly"]:
+        """Return (positive part, minus the negative part), both with c >= 0."""
+        plus = LaurentPoly._raw({w: c for w, c in self.coeffs.items() if c > 0})
+        minus = LaurentPoly._raw({w: -c for w, c in self.coeffs.items() if c < 0})
+        return plus, minus
 
     def dual(self) -> "LaurentPoly":
         """mu -> mu^-1; on characters this is the dual representation."""
         return LaurentPoly._raw({-w: c for w, c in self.coeffs.items()})
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        x = _coeff(x)
+    def evaluate(self, x) -> Fraction:
+        x = _point(x)
         if x == 0 and any(w < 0 for w in self.coeffs):
             raise ZeroDivisionError("negative weight at x = 0")
-        return sum((c * x**w for w, c in self.coeffs.items()), _F0)
+        return sum((c * x**w for w, c in self.coeffs.items()), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -139,14 +139,7 @@ class LaurentPoly:
         o = _as_poly(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.coeffs)
-        for w, c in o.coeffs.items():
-            s = acc.get(w, _F0) + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-        return LaurentPoly._raw(acc)
+        return LaurentPoly._raw(_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -163,34 +156,12 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return LaurentPoly.zero()
-            return LaurentPoly._raw({w: a * c for w, a in self.coeffs.items()})
         o = _as_poly(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in o.coeffs.items():
-                w = w1 + w2
-                s = acc.get(w, _F0) + c1 * c2
-                if s:
-                    acc[w] = s
-                else:
-                    acc.pop(w, None)
-        return LaurentPoly._raw(acc)
+        return LaurentPoly._raw(_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power; use RatFn")
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __str__(self) -> str:
         return render_terms(self.coeffs)
@@ -199,12 +170,50 @@ class LaurentPoly:
         return f"LaurentPoly({dict(sorted(self.coeffs.items()))!r})"
 
 
+#: An integer combination of torus weight spaces is an integer Laurent polynomial.
+VirtualCharacter = LaurentPoly
+
+
 def _as_poly(x) -> LaurentPoly | None:
     if isinstance(x, LaurentPoly):
         return x
-    if not isinstance(x, bool) and isinstance(x, (int, Fraction)):
-        return LaurentPoly({0: x})
+    if _is_int(x):
+        return LaurentPoly._raw({0: x} if x else {})
     return None
+
+
+def _add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    acc = dict(a)
+    for w, c in b.items():
+        s = acc.get(w, 0) + c
+        if s:
+            acc[w] = s
+        else:
+            del acc[w]
+    return acc
+
+
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    acc: dict[int, int] = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            acc[w] = acc.get(w, 0) + c1 * c2
+    return {w: c for w, c in acc.items() if c}
+
+
+def _times_expfactor(a: dict[int, int], k: int, e: int) -> dict[int, int]:
+    """a * (1 - mu^k)^e."""
+    for _ in range(e):
+        acc = dict(a)
+        for w, c in a.items():
+            s = acc.get(w + k, 0) - c
+            if s:
+                acc[w + k] = s
+            else:
+                del acc[w + k]
+        a = acc
+    return a
 
 
 def expfactor(w: int) -> LaurentPoly:
@@ -212,122 +221,65 @@ def expfactor(w: int) -> LaurentPoly:
     return LaurentPoly([(0, 1), (w, -1)])
 
 
-# -- dense helpers for gcd reduction (ordinary polynomials, ascending lists) --
+def expfactors(weights: Iterable[int]) -> LaurentPoly:
+    """The product of the factors 1 - mu^w over the given weights."""
+    out = LaurentPoly.one()
+    for w in weights:
+        out = out * expfactor(w)
+    return out
 
 
-def _trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
+class Quotient:
+    """An integer Laurent numerator over prod_k (1 - mu^k)^e_k with k > 0.
 
-
-def _dense(p: LaurentPoly) -> tuple[int, list[Fraction]]:
-    """Factor out the lowest weight: p = mu^shift * (dense ascending poly)."""
-    lo = min(p.coeffs)
-    out = [_F0] * (max(p.coeffs) - lo + 1)
-    for w, c in p.coeffs.items():
-        out[w - lo] = c
-    return lo, out
-
-
-def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = _trim(list(a))
-    q = [_F0] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for j, bc in enumerate(b):
-            r[k + j] -= c * bc
-        _trim(r)
-    return _trim(q), r
-
-
-def _int_content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g or 1
-
-
-def _int_primitive(a: list[Fraction]) -> list[int]:
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
-    g = _int_content(ints)
-    return [c // g for c in ints]
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: remainder of lead(b)^k * a by b, integers only."""
-    r = list(a)
-    lead_b = b[-1]
-    while r and len(r) >= len(b):
-        k = len(r) - len(b)
-        lead_r = r[-1]
-        r = [lead_b * c for c in r]
-        for j, bc in enumerate(b):
-            r[k + j] -= lead_r * bc
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    # primitive pseudo-remainder sequence: keeps coefficients small where
-    # a naive Euclid over the rationals blows up
-    A = _int_primitive(_trim(list(a)))
-    B = _int_primitive(_trim(list(b)))
-    while B:
-        R = _int_prem(A, B)
-        g = _int_content(R)
-        A, B = B, [c // g for c in R]
-    lead = A[-1]
-    return [Fraction(c, lead) for c in A]
-
-
-class RatFn:
-    """Reduced fraction of Laurent polynomials in canonical form.
-
-    The gcd is divided out and the denominator is normalized so that its
-    lowest-weight term is 1*mu^0; a fraction with denominator 1 is exactly
-    a Laurent polynomial.  Canonical form makes equality a dict compare.
+    ``den`` maps each k to its exponent e_k > 0.  The form is not unique
+    (no common factor is cancelled), so equality cross-multiplies.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
+    def __init__(self, num=0, den: Iterable[int] = ()):
+        """num / prod (1 - mu^a) over the weights a in ``den``, none of them 0."""
         n = _as_poly(num)
-        d = _as_poly(den)
-        if n is None or d is None:
-            raise TypeError("LaurentPoly or exact rational expected")
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        if not n:
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        nlo, nd = _dense(n)
-        dlo, dd = _dense(d)
-        g = _dense_gcd(nd, dd)
-        if len(g) > 1:
-            nd, _ = _dense_divmod(nd, g)
-            dd, _ = _dense_divmod(dd, g)
-        c = dd[0]  # nonzero: the dense form starts at the lowest weight
-        shift = nlo - dlo
-        self.num = LaurentPoly._raw({shift + i: v / c for i, v in enumerate(nd) if v})
-        self.den = LaurentPoly._raw({i: v / c for i, v in enumerate(dd) if v})
+        if n is None:
+            raise TypeError("LaurentPoly or integer numerator expected")
+        exps: dict[int, int] = {}
+        negative = 0
+        shift = 0
+        for a in den:
+            if a == 0:
+                raise ZeroDivisionError("factor 1 - mu^0 is zero")
+            if a < 0:  # 1 / (1 - mu^-k) = -mu^k / (1 - mu^k)
+                a = -a
+                negative += 1
+                shift += a
+            exps[a] = exps.get(a, 0) + 1
+        sign = -1 if negative % 2 else 1
+        self.num = LaurentPoly._raw({w + shift: sign * c for w, c in n.coeffs.items()})
+        self.den = exps
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.coeffs == {0: _F1}
+    @classmethod
+    def _raw(cls, num: dict[int, int], den: dict[int, int]) -> "Quotient":
+        out = cls.__new__(cls)
+        out.num = LaurentPoly._raw(num)
+        out.den = den
+        return out
 
-    def dual(self) -> "RatFn":
-        return RatFn(self.num.dual(), self.den.dual())
+    def den_poly(self) -> LaurentPoly:
+        """The denominator multiplied out."""
+        a = {0: 1}
+        for k, e in self.den.items():
+            a = _times_expfactor(a, k, e)
+        return LaurentPoly._raw(a)
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        d = self.den.evaluate(x)
+    def dual(self) -> "Quotient":
+        """mu -> mu^-1, with each 1 - mu^-k turned back into -mu^-k * (1 - mu^k)."""
+        shift = sum(k * e for k, e in self.den.items())
+        sign = -1 if sum(self.den.values()) % 2 else 1
+        return Quotient._raw({shift - w: sign * c for w, c in self.num.coeffs.items()}, dict(self.den))
+
+    def evaluate(self, x) -> Fraction:
+        d = self.den_poly().evaluate(x)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
         return self.num.evaluate(x) / d
@@ -336,186 +288,107 @@ class RatFn:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        o = _as_ratfn(other)
+        o = _as_quotient(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num * o.den_poly() == o.num * self.den_poly()
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = None  # equal quotients may have different forms
 
-    def __neg__(self) -> "RatFn":
-        out = RatFn.__new__(RatFn)
-        out.num = -self.num
-        out.den = self.den
-        return out
+    def __neg__(self) -> "Quotient":
+        return Quotient._raw({w: -c for w, c in self.num.coeffs.items()}, dict(self.den))
 
     def __add__(self, other):
-        o = _as_ratfn(other)
+        o = _as_quotient(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        den = dict(self.den)
+        for k, e in o.den.items():
+            if e > den.get(k, 0):
+                den[k] = e
+        return Quotient._raw(_add(_lift(self, den), _lift(o, den)), den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_ratfn(other)
+        o = _as_quotient(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _as_ratfn(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = _as_ratfn(other)
+        o = _as_quotient(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.num * o.num, self.den * o.den)
+        den = dict(self.den)
+        for k, e in o.den.items():
+            den[k] = den.get(k, 0) + e
+        return Quotient._raw(_mul(self.num.coeffs, o.num.coeffs), den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _as_ratfn(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero")
-        return RatFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = _as_ratfn(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __str__(self) -> str:
-        if self.is_polynomial:
+        if not self.den:
             return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        factors = " * ".join(
+            f"(1 - mu^{k})" + (f"^{e}" if e > 1 else "") for k, e in sorted(self.den.items())
+        )
+        return f"({self.num}) / {factors}"
 
     def __repr__(self) -> str:
-        return f"RatFn({self.num!r}, {self.den!r})"
+        return f"Quotient({self.num!r}, {self.den!r})"
 
 
-def _as_ratfn(x) -> RatFn | None:
-    if isinstance(x, RatFn):
+def _as_quotient(x) -> Quotient | None:
+    if isinstance(x, Quotient):
         return x
     p = _as_poly(x)
-    return None if p is None else RatFn(p)
+    return None if p is None else Quotient._raw(p.coeffs, {})
 
 
-class VirtualCharacter:
-    """Integer combination of torus weight spaces, as a Laurent polynomial in mu."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[Tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for w, c in items:
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise TypeError("weights must be integers")
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise TypeError("character multiplicities must be integers")
-            s = acc.get(w, 0) + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-        self.coeffs = acc
-
-    def dim(self) -> int:
-        return sum(self.coeffs.values())
-
-    def coefficient(self, w: int) -> int:
-        return self.coeffs.get(w, 0)
-
-    def dual(self) -> "VirtualCharacter":
-        return VirtualCharacter({-w: c for w, c in self.coeffs.items()})
-
-    def split(self) -> tuple["VirtualCharacter", "VirtualCharacter"]:
-        """Return (positive part, minus the negative part), both with c >= 0."""
-        plus = VirtualCharacter({w: c for w, c in self.coeffs.items() if c > 0})
-        minus = VirtualCharacter({w: -c for w, c in self.coeffs.items() if c < 0})
-        return plus, minus
-
-    def to_laurent(self) -> LaurentPoly:
-        return LaurentPoly({w: c for w, c in self.coeffs.items()})
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        return self.to_laurent().evaluate(x)
-
-    def __add__(self, other):
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = acc.get(w, 0) + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-        return VirtualCharacter(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        return self + VirtualCharacter({w: -c for w, c in other.coeffs.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __str__(self) -> str:
-        return render_terms(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"VirtualCharacter({dict(sorted(self.coeffs.items()))!r})"
+def _lift(q: Quotient, den: dict[int, int]) -> dict[int, int]:
+    """Numerator of q over the larger denominator ``den``."""
+    a = q.num.coeffs
+    for k, e in den.items():
+        a = _times_expfactor(a, k, e - q.den.get(k, 0))
+    return a
 
 
-def to_polynomial(u: RatFn | LaurentPoly) -> VirtualCharacter:
-    """Certify that u is a Laurent polynomial with integer coefficients.
+def to_polynomial(u: Quotient) -> VirtualCharacter:
+    """Certify that u is a Laurent polynomial, by exact division.
 
-    Raises if a denominator survives reduction or a coefficient is not an
-    integer; the exactness of the division is not fudged.
+    Each factor 1 - mu^k is divided out with the recurrence
+    q_i = n_i + q_(i-k); a nonzero remainder raises.  The exactness of
+    the division is not fudged.
     """
-    if isinstance(u, RatFn):
-        if not u.is_polynomial:
-            raise ValueError(f"not a polynomial: denominator {u.den} survives reduction")
-        p = u.num
-    else:
-        p = _as_poly(u)
-        if p is None:
-            raise TypeError("RatFn or LaurentPoly expected")
-    out: dict[int, int] = {}
-    for w, c in p.coeffs.items():
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} at weight {w}")
-        out[w] = c.numerator
-    return VirtualCharacter(out)
-
-
-def dualize(v):
-    """Negate all weights; an involution and a ring homomorphism."""
-    return v.dual()
+    if not isinstance(u, Quotient):
+        raise TypeError("Quotient expected")
+    coeffs = u.num.coeffs
+    if not coeffs or not u.den:
+        return u.num
+    lo = min(coeffs)
+    a = [0] * (max(coeffs) - lo + 1)
+    for w, c in coeffs.items():
+        a[w - lo] = c
+    for k, e in sorted(u.den.items()):
+        for _ in range(e):
+            for i in range(k, len(a)):
+                a[i] += a[i - k]
+            if any(a[-k:]):
+                raise ValueError(f"not a polynomial: 1 - mu^{k} does not divide the numerator")
+            del a[-k:]
+    return LaurentPoly._raw({lo + i: c for i, c in enumerate(a) if c})
 
 
 @dataclass(frozen=True)
 class EulerClass:
     """An exact equivariant Euler class scalar * t**degree."""
 
-    scalar: Fraction
+    scalar: int
     degree: int
 
     def __str__(self) -> str:
@@ -527,114 +400,13 @@ class EulerClass:
 
 def euler_class(c: VirtualCharacter) -> EulerClass:
     """Product of weights of an honest representation without fixed part."""
-    scalar = _F1
+    scalar = 1
     degree = 0
     for w, a in c.coeffs.items():
         if a < 0:
             raise ValueError(f"negative multiplicity {a} at weight {w}")
         if w == 0:
             raise ValueError("weight-0 subspace has no equivariant Euler class")
-        scalar *= Fraction(w) ** a
+        scalar *= w**a
         degree += a
     return EulerClass(scalar, degree)
-
-
-class PointClassElem:
-    """Element a + b*x with x**2 = 0; a, b exact rational functions.
-
-    x is the point class of a fixed rational curve, so multiplication
-    truncates at x and integration over the curve extracts b.
-    """
-
-    __slots__ = ("base", "point")
-
-    def __init__(self, base, point=0):
-        b = _as_ratfn(base)
-        p = _as_ratfn(point)
-        if b is None or p is None:
-            raise TypeError("RatFn, LaurentPoly or exact rational expected")
-        self.base = b
-        self.point = p
-
-    @classmethod
-    def exponential(cls, weight: int, degree: Scalar) -> "PointClassElem":
-        """exp(weight*t + degree*x) = mu^weight * (1 + degree*x)."""
-        m = LaurentPoly.monomial(weight)
-        return cls(RatFn(m), RatFn(m * degree))
-
-    def integrate(self) -> RatFn:
-        """Push down over the curve: the coefficient of the point class."""
-        return self.point
-
-    def inverse(self) -> "PointClassElem":
-        if not self.base:
-            raise ZeroDivisionError("leading part is not invertible")
-        inv = 1 / self.base
-        return PointClassElem(inv, -(inv * inv) * self.point)
-
-    def __bool__(self) -> bool:
-        return bool(self.base) or bool(self.point)
-
-    def __eq__(self, other) -> bool:
-        o = _as_pce(other)
-        if o is None:
-            return NotImplemented
-        return self.base == o.base and self.point == o.point
-
-    def __hash__(self):
-        return hash((self.base, self.point))
-
-    def __neg__(self) -> "PointClassElem":
-        return PointClassElem(-self.base, -self.point)
-
-    def __add__(self, other):
-        o = _as_pce(other)
-        if o is None:
-            return NotImplemented
-        return PointClassElem(self.base + o.base, self.point + o.point)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_pce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _as_pce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = _as_pce(other)
-        if o is None:
-            return NotImplemented
-        return PointClassElem(self.base * o.base, self.base * o.point + self.point * o.base)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_pce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __str__(self) -> str:
-        return f"({self.base}) + ({self.point})*x"
-
-    def __repr__(self) -> str:
-        return f"PointClassElem({self.base!r}, {self.point!r})"
-
-
-def _as_pce(x) -> PointClassElem | None:
-    if isinstance(x, PointClassElem):
-        return x
-    r = _as_ratfn(x)
-    return None if r is None else PointClassElem(r)
-
-
-def integrate_point_class(e: PointClassElem) -> RatFn:
-    """Linear pushforward over the fixed curve: kills x-free elements."""
-    return e.integrate()

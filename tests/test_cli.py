@@ -141,10 +141,36 @@ class TestLocalize:
         mpath.write_text(format_marking(e8_a5_marking()), encoding="utf-8")
         dpath = tmp_path / "e8.desc"
         dpath.write_text(format_descriptor(e8_a5_descriptor()), encoding="utf-8")
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "localize", "2,4,3,2", "--marking", str(mpath), "--descriptor", str(dpath)
         )
         assert code == 0 and "n = 2" in out
+        assert err == ""
+
+    @pytest.mark.parametrize("flag", ["--marking", "--descriptor"])
+    def test_case_with_file_flag_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "localize", "3,5,4,3", "--case", "e8-a5", flag, "/nonexistent")
+        assert code == 2 and out == ""
+        assert "--case cannot be combined" in err
+
+    def test_validation_warnings_reach_stderr(self, capsys, tmp_path):
+        from dataclasses import replace
+
+        from adebps.catalog import e8_a5_marking
+        from adebps.folding import format_marking
+
+        g = e8_a5_descriptor()
+        bent = replace(g, s_curves=(replace(g.s_curves[0], self_intersection=-1),))
+        mpath = tmp_path / "e8.marking"
+        mpath.write_text(format_marking(e8_a5_marking()), encoding="utf-8")
+        dpath = tmp_path / "bent.desc"
+        dpath.write_text(format_descriptor(bent), encoding="utf-8")
+        code, out, err = run(
+            capsys, "localize", "1,0,0,0", "--marking", str(mpath), "--descriptor", str(dpath)
+        )
+        assert code == 0
+        assert err == "warning: E3: self-intersection -1, not -2\n"
+        assert out.startswith("class = 1,0,0,0\n") and out.endswith("n = 2\n")
 
     def test_missing_descriptor_exits_2(self, capsys, tmp_path):
         mpath = tmp_path / "e8.marking"

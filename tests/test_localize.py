@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adebps.catalog import e8_a5_descriptor, e8_a5_marking
 from adebps.folding import LiftedDivisor, bps_table, lift
@@ -24,7 +27,7 @@ from adebps.localize import (
     total_chi,
     validate_descriptor,
 )
-from adebps.symring import LaurentPoly, RatFn, VirtualCharacter, euler_class, expfactor
+from adebps.symring import LaurentPoly, Quotient, VirtualCharacter, euler_class, expfactors
 from adebps.verify import GOLDEN_CH, GOLDEN_CONTRIBUTIONS, GOLDEN_SUMMANDS, REFERENCE_CLASSES
 
 
@@ -127,11 +130,11 @@ class TestCurveContribution:
     def test_longest_root(self, g, m, top):
         # P sees only the fixed curve, so its character is the curve summand
         got = curve_contribution(top, g.s_curves[0], g, m)
-        assert got == RatFn(LaurentPoly({-8: 1, -6: -1, -2: -1, 0: 1}))
+        assert got == LaurentPoly({-8: 1, -6: -1, -2: -1, 0: 1})
 
     def test_zero_divisor(self, g, m):
         zero = LiftedDivisor((0,) * 8, (), (), 0)
-        assert curve_contribution(zero, g.s_curves[0], g, m) == RatFn(0)
+        assert curve_contribution(zero, g.s_curves[0], g, m) == 0
 
     def test_zero_normal_weight_rejected(self, g, m, top):
         bad = SCurve("E3", "P", 0, -2, ())
@@ -143,15 +146,13 @@ class TestCurveContribution:
 class TestCharacters:
     def test_golden_characters(self, g, m, top):
         for p in g.y_points:
-            assert chern_character_at(p, top, g, m) == RatFn(GOLDEN_CH[p.name])
+            assert chern_character_at(p, top, g, m) == GOLDEN_CH[p.name]
 
     def test_golden_point_totals(self, g, m, top):
         for p in g.y_points:
             ch = chern_character_at(p, top, g, m)
-            pref = LaurentPoly.one()
-            for w in p.weights:
-                pref = pref * expfactor(-w)
-            assert ch.dual() * ch / RatFn(pref) == RatFn(GOLDEN_CONTRIBUTIONS[p.name])
+            pref = expfactors(-w for w in p.weights)
+            assert ch.dual() * ch == GOLDEN_CONTRIBUTIONS[p.name] * pref
 
     def test_reference_totals(self, g, m):
         for cls, total, _, _, _ in REFERENCE_CLASSES:
@@ -165,7 +166,7 @@ class TestCharacters:
         p3 = g.y_point("P3")
         assert chern_character_at(p2, top, g, m) == chern_character_at(p3, top, g, m)
         small = lift((0, 1, 0, 0), m)
-        assert chern_character_at(p3, small, g, m) == RatFn(0)
+        assert chern_character_at(p3, small, g, m) == 0
 
     def test_totals_vanish_at_one_with_unit_ends(self, g, m):
         for rec in bps_table(m):
@@ -271,3 +272,131 @@ def test_non_image_scan_squares(m):
         if not any(cls) or cls in image:
             continue
         assert lift(cls, m).self_pairing <= -4
+
+
+# -- guards on the integer localization engine --------------------------------
+
+
+def _assert_certified(chi, serre_weight=3):
+    """An integer Laurent polynomial with chi(1) = 0 and Serre symmetry."""
+    assert isinstance(chi, LaurentPoly)
+    assert all(type(c) is int for c in chi.coeffs.values())
+    assert chi.evaluate(1) == 0
+    assert chi.dual() * LaurentPoly({serre_weight: 1}) == -chi
+
+
+def test_small_box_totals_certified(m, g):
+    for cls in product(range(4), repeat=4):
+        if any(cls):
+            _assert_certified(total_chi(lift(cls, m), g, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 12)] * 4).filter(any))
+def test_large_box_totals_certified(cls):
+    m = e8_a5_marking()
+    _assert_certified(total_chi(lift(cls, m), e8_a5_descriptor(), m))
+
+
+def _oracle_character(lft, p, g, m, x):
+    """ch at the threefold point p, evaluated at x with Fractions only.
+
+    Isolated points use the residue formula directly; a pointwise-fixed
+    curve is pushed down in the ring a + b*x_pt with x_pt^2 = 0, by
+    exact arithmetic on the pairs (a, b).
+    """
+
+    def mul(u, v):
+        return u[0] * v[0], u[0] * v[1] + u[1] * v[0]
+
+    def inverse(u):
+        return 1 / u[0], -u[1] / u[0] ** 2
+
+    pref = Fraction(1)
+    for w in p.weights:
+        pref *= 1 - x**-w
+    out = Fraction(0)
+    for q in g.s_points:
+        if q.image == p.name:
+            w = line_bundle_weight_at_point(lft, q, g, m)
+            out += pref * (1 - x**w) / ((1 - x ** -q.weights[0]) * (1 - x ** -q.weights[1]))
+    for e in g.s_curves:
+        if e.image == p.name:
+            w, d = line_bundle_on_curve(lft, e, g, m)
+            n, s = e.normal_weight, e.self_intersection
+            restriction = (1 - x**w, -d * x**w)
+            normal = (1 - x**-n, s * x**-n)
+            out += pref * mul(mul(restriction, (1, 1)), inverse(normal))[1]
+    return out
+
+
+def test_exact_evaluation_oracle(m, g):
+    classes = [rec.cls for rec in bps_table(m)]
+    classes += [c for c in product(range(3), repeat=4) if any(c) and c not in classes]
+    for cls in classes:
+        lft = lift(cls, m)
+        chi = total_chi(lft, g, m)
+        for x in (Fraction(2), Fraction(3, 2), Fraction(-5, 3)):
+            want = Fraction(0)
+            for p in g.y_points:
+                ch = _oracle_character(lft, p, g, m, x)
+                assert chern_character_at(p, lft, g, m).evaluate(x) == ch, (cls, p.name, x)
+                pref = Fraction(1)
+                for w in p.weights:
+                    pref *= 1 - x**-w
+                want += _oracle_character(lft, p, g, m, 1 / x) * ch / pref
+            assert chi.evaluate(x) == want, (cls, x)
+
+
+def _int_mutants(obj):
+    """(path, copy) for every integer field of obj moved by -1 and by +1."""
+    if isinstance(obj, int):
+        for d in (-1, 1):
+            yield (d,), obj + d
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            for path, new in _int_mutants(item):
+                yield (i, *path), obj[:i] + (new,) + obj[i + 1 :]
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            for path, new in _int_mutants(getattr(obj, f.name)):
+                yield (f.name, *path), dataclasses.replace(obj, **{f.name: new})
+
+
+def test_descriptor_mutation_sweep(m, g):
+    # Every +-1 change to one integer of the built-in descriptor must be
+    # rejected, warned about, make total_chi raise, or change a table total.
+    classes = [rec.cls for rec in bps_table(m)]
+    base = [total_chi(lift(c, m), g, m) for c in classes]
+    outcomes = {"rejected": [], "warned": [], "raises": [], "changed": []}
+    certificate_only = []
+    for path, mutant in _int_mutants(g):
+        try:
+            warnings = validate_descriptor(mutant, m)
+        except DescriptorError:
+            outcomes["rejected"].append(path)
+            continue
+        if warnings:
+            outcomes["warned"].append(path)
+            continue
+        errors, totals = [], []
+        for cls in classes:
+            try:
+                totals.append(total_chi(lift(cls, m), mutant, m))
+            except ValueError as exc:
+                errors.append(exc)
+        if errors:
+            outcomes["raises"].append(path)
+            if not any(isinstance(exc, DescriptorError) for exc in errors):
+                assert all("not a polynomial" in str(exc) for exc in errors), (path, errors)
+                certificate_only.append(path)
+        else:
+            assert totals != base, f"mutant {path} goes undetected"
+            outcomes["changed"].append(path)
+    assert {k: len(v) for k, v in outcomes.items()} == {
+        "rejected": 88, "warned": 2, "raises": 2, "changed": 0
+    }
+    assert outcomes["warned"] == [
+        ("s_curves", 0, "self_intersection", -1), ("s_curves", 0, "self_intersection", 1)
+    ]
+    assert certificate_only == [("s_curves", 0, "normal_weight", 1)]
