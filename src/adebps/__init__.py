@@ -25,17 +25,18 @@ from .localize import (
     ExtDecomposition,
     GeometryDescriptor,
     Incidence,
+    LocalizationResult,
     SCurve,
     SPoint,
     YPoint,
     bps_from_localization,
     chern_character_at,
     curve_contribution,
-    euler_ratio,
     ext_decompose,
     format_descriptor,
     line_bundle_on_curve,
     line_bundle_weight_at_point,
+    localize_class,
     parse_descriptor,
     point_contribution,
     total_chi,

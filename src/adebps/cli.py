@@ -13,15 +13,13 @@ import json
 import sys
 
 from . import catalog
-from .folding import Marking, bps_table, lift, parse_marking
+from .folding import Marking, bps_table, parse_marking
 from .localize import (
     DescriptorError,
     GeometryDescriptor,
-    euler_ratio,
-    ext_decompose,
     format_descriptor,
+    localize_class,
     parse_descriptor,
-    total_chi,
     validate_descriptor,
 )
 from .rootsys import build_diagram, enumerate_positive_roots
@@ -29,7 +27,7 @@ from .verify import run_checks
 
 
 def _load_marking(args) -> Marking:
-    if getattr(args, "case", None):
+    if args.case:
         return catalog.load_case(args.case)[0]
     with open(args.marking, encoding="utf-8") as fh:
         return parse_marking(fh.read())
@@ -42,8 +40,7 @@ def _load_geometry(args) -> tuple[Marking, GeometryDescriptor]:
         return catalog.load_case(args.case)
     if not (args.marking and args.descriptor):
         raise ValueError("need --case, or both --marking and --descriptor")
-    with open(args.marking, encoding="utf-8") as fh:
-        m = parse_marking(fh.read())
+    m = _load_marking(args)
     with open(args.descriptor, encoding="utf-8") as fh:
         g = parse_descriptor(fh.read())
     for warning in validate_descriptor(g, m):
@@ -110,30 +107,17 @@ def cmd_table(args) -> int:
 def cmd_localize(args) -> int:
     m, g = _load_geometry(args)
     cls = _parse_class(args.cls)
-    lft = lift(cls, m)
-    if lft.self_pairing != -2:
-        raise ValueError(f"class {args.cls} does not come from a positive root")
-    chi = total_chi(lft, g, m)
-    dec = ext_decompose(chi, serre_weight=-g.canonical_weight)
-    e1, e2, n = euler_ratio(dec)
+    r = localize_class(cls, m, g)
+    # (plain label, json key, value), in output order
+    rows = (("chi", "chi", r.chi), ("ext1", "ext1", r.ext.ext1), ("ext2", "ext2", r.ext.ext2),
+            ("e(ext1)", "euler_ext1", r.euler_ext1), ("e(ext2)", "euler_ext2", r.euler_ext2),
+            ("n", "n", r.n))
     if args.format == "json":
-        print(json.dumps({
-            "class": list(cls),
-            "chi": str(chi),
-            "ext1": str(dec.ext1),
-            "ext2": str(dec.ext2),
-            "euler_ext1": str(e1),
-            "euler_ext2": str(e2),
-            "n": str(n),
-        }))
+        print(json.dumps({"class": list(cls), **{key: str(value) for _, key, value in rows}}))
     else:
         print(f"class = {args.cls}")
-        print(f"chi = {chi}")
-        print(f"ext1 = {dec.ext1}")
-        print(f"ext2 = {dec.ext2}")
-        print(f"e(ext1) = {e1}")
-        print(f"e(ext2) = {e2}")
-        print(f"n = {n}")
+        for label, _, value in rows:
+            print(f"{label} = {value}")
     return 0
 
 

@@ -156,37 +156,35 @@ def euler_characteristic(divisor: tuple[int, ...], m: Marking) -> int:
 
 
 def parse_marking(text: str) -> Marking:
-    kind: str | None = None
-    rank: int | None = None
-    black: list[str] | None = None
-    white: list[str] | None = None
+    fields: dict[str, tuple[int, list[str]]] = {}  # key -> (line number, values)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        key = tokens[0].lower()
-        if key == "kind" and len(tokens) == 2:
-            kind = tokens[1]
-        elif key == "rank" and len(tokens) == 2:
-            try:
-                rank = int(tokens[1])
-            except ValueError:
-                raise ValueError(f"marking line {lineno}: bad rank {tokens[1]!r}") from None
-        elif key == "black":
-            black = tokens[1:]
-        elif key == "white":
-            white = tokens[1:]
-        else:
+        key, *values = line.split()
+        key = key.lower()
+        if key not in ("kind", "rank", "black", "white") or (key in ("kind", "rank") and len(values) != 1):
             raise ValueError(f"marking line {lineno}: cannot parse {raw!r}")
-    if kind is None or rank is None or black is None or white is None:
+        if key in fields:
+            raise ValueError(f"marking line {lineno}: repeated {key!r} line")
+        fields[key] = lineno, values
+    if len(fields) != 4:
         raise ValueError("marking needs kind, rank, black and white lines")
-    d = build_diagram(kind, rank)
-    return Marking(
-        d,
-        frozenset(node_index(n, rank) for n in black),
-        tuple(node_index(n, rank) for n in white),
-    )
+    lineno, (rank_text,) = fields["rank"]
+    try:
+        rank = int(rank_text)
+    except ValueError:
+        raise ValueError(f"marking line {lineno}: bad rank {rank_text!r}") from None
+    d = build_diagram(fields["kind"][1][0], rank)
+
+    def nodes(key: str) -> list[int]:
+        lineno, names = fields[key]
+        out = [node_index(n, rank) for n in names]
+        if len(set(out)) != len(out):
+            raise ValueError(f"marking line {lineno}: a node is listed twice in {key!r}")
+        return out
+
+    return Marking(d, frozenset(nodes("black")), tuple(nodes("white")))
 
 
 def format_marking(m: Marking) -> str:

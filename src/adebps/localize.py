@@ -85,10 +85,6 @@ class GeometryDescriptor:
         raise DescriptorError(f"unknown fixed point {name!r}")
 
 
-def _labels(m: Marking) -> dict[str, int]:
-    return divisor_labels(m)
-
-
 def _node_of(label: str, labels: dict[str, int]) -> int:
     try:
         return labels[label]
@@ -107,7 +103,7 @@ def line_bundle_weight_at_point(lft: LiftedDivisor, q: SPoint, g: GeometryDescri
     """Fiber weight of O(-Z) at an isolated fixed point of the surface."""
     if q not in g.s_points:
         raise DescriptorError(f"unknown point {q.name!r}")
-    labels = _labels(m)
+    labels = divisor_labels(m)
     return -sum(lft.full[_node_of(inc.divisor, labels)] * inc.weight for inc in q.incidences)
 
 
@@ -124,7 +120,7 @@ def line_bundle_on_curve(
     """
     if e not in g.s_curves:
         raise DescriptorError(f"unknown curve {e.name!r}")
-    labels = _labels(m)
+    labels = divisor_labels(m)
     node = _node_of(e.name, labels)
     mult = lft.full[node]
     degree = cartan_pairing(m.diagram, _unit(m.diagram.rank, node), lft.full)
@@ -183,6 +179,18 @@ def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: 
     return total
 
 
+def _point_terms(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
+    """(name, ch_p, ch_p^dual * ch_p / (e(N)/td)) for every threefold point p."""
+    for p in g.y_points:
+        ch = chern_character_at(p, lft, g, m)
+        yield p.name, ch, (ch.dual() * ch * Quotient(1, _euler_by_todd(p.weights)) if ch else ch)
+
+
+def _certified_sum(contributions) -> VirtualCharacter:
+    """Sum point contributions; ``to_polynomial`` certifies the total is integral."""
+    return to_polynomial(sum(contributions, Quotient()))
+
+
 def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualCharacter:
     """Full equivariant Euler pairing as an integer character.
 
@@ -190,13 +198,7 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    total = Quotient()
-    for p in g.y_points:
-        ch = chern_character_at(p, lft, g, m)
-        if not ch:
-            continue
-        total = total + ch.dual() * ch * Quotient(1, _euler_by_todd(p.weights))
-    return to_polynomial(total)
+    return _certified_sum(contribution for _, _, contribution in _point_terms(lft, g, m))
 
 
 @dataclass(frozen=True)
@@ -230,22 +232,41 @@ def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposit
     return ExtDecomposition(ext1=ext1, ext2=ext2, serre_weight=serre_weight)
 
 
-def euler_ratio(dec: ExtDecomposition) -> tuple[EulerClass, EulerClass, Fraction]:
-    """(e(ext1), e(ext2), n) with the invariant n = e(ext2) / e(ext1)."""
-    e1 = euler_class(dec.ext1)
-    e2 = euler_class(dec.ext2)
+@dataclass(frozen=True)
+class LocalizationResult:
+    """Every stage of the localization of one class, from the lift to n."""
+
+    lift: LiftedDivisor
+    characters: dict[str, Quotient]  # ch_p per threefold point name
+    contributions: dict[str, Quotient]  # ch_p^dual * ch_p / (e(N)/td) per point name
+    chi: VirtualCharacter
+    ext: ExtDecomposition
+    euler_ext1: EulerClass
+    euler_ext2: EulerClass
+    n: Fraction  # the invariant e(ext2) / e(ext1)
+
+
+def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> LocalizationResult:
+    """Localize a root class: lift, point characters, chi, Ext split, Euler classes, n."""
+    lft = lift(cls, m)
+    if lft.self_pairing != -2:
+        raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
+    terms = tuple(_point_terms(lft, g, m))
+    contributions = {name: contribution for name, _, contribution in terms}
+    chi = _certified_sum(contributions.values())
+    ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
+    e1 = euler_class(ext.ext1)
+    e2 = euler_class(ext.ext2)
     if e2.degree != e1.degree:
         raise ValueError("equivariant degrees of the two Euler classes do not cancel")
-    return e1, e2, Fraction(e2.scalar, e1.scalar)
+    characters = {name: ch for name, ch, _ in terms}
+    n = Fraction(e2.scalar, e1.scalar)
+    return LocalizationResult(lft, characters, contributions, chi, ext, e1, e2, n)
 
 
 def bps_from_localization(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Fraction:
     """Invariant of a class as the Euler-class ratio at its fixed sheaf."""
-    lft = lift(cls, m)
-    if lft.self_pairing != -2:
-        raise ValueError(f"class {cls!r} does not come from a positive root")
-    chi = total_chi(lft, g, m)
-    return euler_ratio(ext_decompose(chi, serre_weight=-g.canonical_weight))[2]
+    return localize_class(cls, m, g).n
 
 
 # -- descriptor validation -------------------------------------------------
@@ -264,7 +285,7 @@ def validate_descriptor(g: GeometryDescriptor, m: Marking) -> list[str]:
     fixed curve with self-intersection other than -2.
     """
     warnings: list[str] = []
-    labels = _labels(m)
+    labels = divisor_labels(m)
     names = [y.name for y in g.y_points] + [q.name for q in g.s_points] + [e.name for e in g.s_curves]
     if len(set(names)) != len(names):
         raise DescriptorError("component names are not unique")
@@ -371,11 +392,15 @@ def parse_descriptor(text: str) -> GeometryDescriptor:
         tokens = line.split()
         head = tokens[0].upper()
         if head == "DESCRIPTOR-VERSION" and len(tokens) == 2:
+            if version is not None:
+                raise DescriptorError(f"line {lineno}: repeated DESCRIPTOR-VERSION")
             version = _int(tokens[1], lineno)
             if version != 1:
                 raise DescriptorError(f"unsupported descriptor version {version}")
             continue
         if head == "CANONICAL-WEIGHT" and len(tokens) == 2:
+            if canonical is not None:
+                raise DescriptorError(f"line {lineno}: repeated CANONICAL-WEIGHT")
             canonical = _int(tokens[1], lineno)
             continue
         if head in ("Y-POINTS", "S-POINTS", "S-CURVES") and len(tokens) == 1:

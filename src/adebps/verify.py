@@ -13,22 +13,14 @@ from itertools import combinations, product
 
 from . import catalog
 from .folding import bps_table, lift, project
-from .localize import (
-    _euler_by_todd,
-    bps_from_localization,
-    chern_character_at,
-    ext_decompose,
-    point_contribution,
-    total_chi,
-    validate_descriptor,
-)
+from .localize import localize_class, point_contribution, validate_descriptor
 from .rootsys import (
     build_diagram,
     enumerate_positive_roots,
     enumerate_positive_roots_bruteforce,
     highest_root,
 )
-from .symring import LaurentPoly, Quotient, VirtualCharacter, euler_class, expfactor
+from .symring import LaurentPoly, Quotient, VirtualCharacter, expfactor
 
 # The four reference classes of the built-in case with their known
 # character totals, Euler-class rows (scalar, degree) and invariants.
@@ -97,15 +89,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results: list[CheckResult], name: str, fn) -> None:
-    try:
-        detail = fn()
-        results.append(CheckResult(name, True, detail or ""))
-    except Exception as exc:  # a failed check must report, not crash the run
-        results.append(CheckResult(name, False, str(exc)))
-
-
-def _root_counts() -> str:
+def _root_counts(_m, _g) -> str:
     expected = {("A", n): n * (n + 1) // 2 for n in range(1, 9)}
     expected.update({("D", 4): 12, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120})
     for (kind, rank), want in sorted(expected.items()):
@@ -114,7 +98,7 @@ def _root_counts() -> str:
     return f"{len(expected)} diagrams"
 
 
-def _closure_equals_bruteforce() -> str:
+def _closure_equals_bruteforce(_m, _g) -> str:
     kinds = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
     kinds += [("E", 6), ("E", 7), ("E", 8)]
     for kind, rank in kinds:
@@ -123,16 +107,14 @@ def _closure_equals_bruteforce() -> str:
     return f"{len(kinds)} diagrams"
 
 
-def _highest_root() -> str:
-    m = catalog.e8_a5_marking()
+def _highest_root(m, _g) -> str:
     h = highest_root(m.diagram)
     assert h == (2, 3, 4, 5, 6, 4, 2, 3), f"highest root {h}"
     assert project(h, m) == (3, 5, 4, 3)
     return str(h)
 
 
-def _table_statistics() -> str:
-    m = catalog.e8_a5_marking()
+def _table_statistics(m, _g) -> str:
     table = bps_table(m)
     assert len(table) == 36, f"{len(table)} classes"
     mapped = sum(r.fiber_count for r in table)
@@ -147,8 +129,7 @@ def _table_statistics() -> str:
     return "36 classes, 116 roots, 4 dropped"
 
 
-def _lift_validity() -> str:
-    m = catalog.e8_a5_marking()
+def _lift_validity(m, _g) -> str:
     for rec in bps_table(m):
         lft = lift(rec.cls, m)
         assert lft.self_pairing == -2, f"{rec.cls}: square {lft.self_pairing}"
@@ -159,8 +140,7 @@ def _lift_validity() -> str:
     return "36 lifts, longest root gives (2, 4, 6, 2)"
 
 
-def _nonroot_classes_scan() -> str:
-    m = catalog.e8_a5_marking()
+def _nonroot_classes_scan(m, _g) -> str:
     image = {rec.cls for rec in bps_table(m)}
     seen = 0
     for cls in product(range(7), repeat=4):
@@ -172,79 +152,69 @@ def _nonroot_classes_scan() -> str:
     return f"{seen} non-root classes all have square <= -4"
 
 
-def _descriptor_lints() -> str:
-    m, g = catalog.load_case("e8-a5")
+def _descriptor_lints(m, g) -> str:
     warnings = validate_descriptor(g, m)
     assert not warnings, "; ".join(warnings)
     return "hard checks pass, no warnings"
 
 
-def _golden_intermediates() -> str:
-    m, g = catalog.load_case("e8-a5")
-    top = lift((3, 5, 4, 3), m)
+def _golden_intermediates(m, g) -> str:
+    top = localize_class((3, 5, 4, 3), m, g)
     count = 0
     for q in g.s_points:
-        got = point_contribution(top, q, g, m)
+        got = point_contribution(top.lift, q, g, m)
         assert got == GOLDEN_SUMMANDS[q.name], f"summand at {q.name}"
         count += 1
     for p in g.y_points:
-        ch = chern_character_at(p, top, g, m)
-        assert ch == GOLDEN_CH[p.name], f"character at {p.name}"
-        contrib = ch.dual() * ch * Quotient(1, _euler_by_todd(p.weights))
-        assert contrib == GOLDEN_CONTRIBUTIONS[p.name], f"contribution of {p.name}"
+        assert top.characters[p.name] == GOLDEN_CH[p.name], f"character at {p.name}"
+        assert top.contributions[p.name] == GOLDEN_CONTRIBUTIONS[p.name], f"contribution of {p.name}"
         count += 2
-    dual = chern_character_at(g.y_point("P1"), top, g, m).dual()
+    dual = top.characters["P1"].dual()
     assert dual == LaurentPoly({0: 1, 2: -1, 6: -1, 7: 1, 10: -1, 11: 1})
     return f"{count + 1} golden values reproduced"
 
 
-def _reference_totals() -> str:
-    m, g = catalog.load_case("e8-a5")
+def _reference_totals(m, g) -> str:
     for cls, total, _, _, _ in REFERENCE_CLASSES:
-        chi = total_chi(lift(cls, m), g, m)
+        chi = localize_class(cls, m, g).chi
         assert chi == VirtualCharacter(total), f"{cls}: chi = {chi}"
     return "4 character totals"
 
 
-def _reference_euler_rows() -> str:
-    m, g = catalog.load_case("e8-a5")
+def _reference_euler_rows(m, g) -> str:
     for cls, _, row2, row1, n in REFERENCE_CLASSES:
-        dec = ext_decompose(total_chi(lift(cls, m), g, m), serre_weight=-g.canonical_weight)
-        e2, e1 = euler_class(dec.ext2), euler_class(dec.ext1)
+        r = localize_class(cls, m, g)
+        e2, e1 = r.euler_ext2, r.euler_ext1
         assert (e2.scalar, e2.degree) == row2, f"{cls}: e(ext2) = {e2}"
         assert (e1.scalar, e1.degree) == row1, f"{cls}: e(ext1) = {e1}"
-        assert Fraction(e2.scalar, e1.scalar) == n, f"{cls}: n = {e2.scalar / e1.scalar}"
+        assert r.n == n, f"{cls}: n = {r.n}"
     return "4 Euler-class rows"
 
 
-def _cross_pipeline_reference() -> str:
-    m, g = catalog.load_case("e8-a5")
+def _cross_pipeline_reference(m, g) -> str:
     fibers = {rec.cls: rec.invariant for rec in bps_table(m)}
     for cls, _, _, _, n in REFERENCE_CLASSES:
-        loc = bps_from_localization(cls, m, g)
+        loc = localize_class(cls, m, g).n
         assert loc == fibers[cls] == n, f"{cls}: localization {loc}, folding {fibers[cls]}"
     return "4 classes agree"
 
 
-def _totals_unit_ends() -> str:
-    m, g = catalog.load_case("e8-a5")
+def _totals_unit_ends(m, g) -> str:
     for cls, _, _, _, _ in REFERENCE_CLASSES:
-        chi = total_chi(lift(cls, m), g, m)
+        chi = localize_class(cls, m, g).chi
         assert chi.evaluate(Fraction(1)) == 0, f"{cls}: chi(1) != 0"
         assert chi.coefficient(0) == 1 and chi.coefficient(3) == -1, f"{cls}: ends of {chi}"
     return "4 totals vanish at mu=1 with coefficients +1/-1 at weights 0/3"
 
 
-def _cross_pipeline_full() -> str:
-    m, g = catalog.load_case("e8-a5")
+def _cross_pipeline_full(m, g) -> str:
     for rec in bps_table(m):
-        loc = bps_from_localization(rec.cls, m, g)
+        loc = localize_class(rec.cls, m, g).n
         assert loc == rec.invariant, f"{rec.cls}: localization {loc}, folding {rec.invariant}"
     return "36 classes agree"
 
 
-def _blackening_unique() -> str:
-    m = catalog.e8_a5_marking()
+def _blackening_unique(m, _g) -> str:
     d = m.diagram
     roots = enumerate_positive_roots(d)
     h = highest_root(d)
@@ -265,24 +235,32 @@ def _blackening_unique() -> str:
     return "unique among 70 subsets"
 
 
+QUICK_CHECKS = (
+    ("fixed-point data passes structural lints", _descriptor_lints),
+    ("golden fixed-point intermediates reproduced", _golden_intermediates),
+    ("character totals for the four reference classes", _reference_totals),
+    ("Euler-class rows and invariants for the reference classes", _reference_euler_rows),
+    ("folding and localization agree on the reference classes", _cross_pipeline_reference),
+    ("totals vanish at mu=1 with unit ends", _totals_unit_ends),
+)
+FULL_CHECKS = (
+    ("positive-root counts match the closed forms", _root_counts),
+    ("closure enumeration equals the brute-force scan", _closure_equals_bruteforce),
+    ("highest root and its white part", _highest_root),
+    ("folded table statistics", _table_statistics),
+    ("lift validity across the table image", _lift_validity),
+    ("square of the lift rejects non-root classes", _nonroot_classes_scan),
+    ("folding and localization agree on every table class", _cross_pipeline_full),
+    ("the blackening is the unique valid one", _blackening_unique),
+)
+
+
 def run_checks(case: str = "e8-a5", quick: bool = False) -> list[CheckResult]:
-    if case not in catalog.CASES:
-        raise ValueError(f"unknown case {case!r}; known cases: {', '.join(sorted(catalog.CASES))}")
+    m, g = catalog.load_case(case)
     results: list[CheckResult] = []
-    _check(results, "fixed-point data passes structural lints", _descriptor_lints)
-    _check(results, "golden fixed-point intermediates reproduced", _golden_intermediates)
-    _check(results, "character totals for the four reference classes", _reference_totals)
-    _check(results, "Euler-class rows and invariants for the reference classes", _reference_euler_rows)
-    _check(results, "folding and localization agree on the reference classes", _cross_pipeline_reference)
-    _check(results, "totals vanish at mu=1 with unit ends", _totals_unit_ends)
-    if quick:
-        return results
-    _check(results, "positive-root counts match the closed forms", _root_counts)
-    _check(results, "closure enumeration equals the brute-force scan", _closure_equals_bruteforce)
-    _check(results, "highest root and its white part", _highest_root)
-    _check(results, "folded table statistics", _table_statistics)
-    _check(results, "lift validity across the table image", _lift_validity)
-    _check(results, "square of the lift rejects non-root classes", _nonroot_classes_scan)
-    _check(results, "folding and localization agree on every table class", _cross_pipeline_full)
-    _check(results, "the blackening is the unique valid one", _blackening_unique)
+    for name, check in QUICK_CHECKS if quick else QUICK_CHECKS + FULL_CHECKS:
+        try:
+            results.append(CheckResult(name, True, check(m, g) or ""))
+        except Exception as exc:  # a failed check must report, not crash the run
+            results.append(CheckResult(name, False, str(exc)))
     return results

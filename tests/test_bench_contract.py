@@ -1,0 +1,76 @@
+"""The benchmark's recorded outputs, checked in-process.
+
+``perfbench/digests`` holds the stdout digest and exit code of every
+command the cli-oneshot workload can issue, the localization digest of
+every class in [0,12]^4 and the folded e8-a5 table.  The benchmark
+fails an operation whose output drifts from them, so this suite pins
+the same outputs, through the same helpers in ``perfbench/common.py``,
+which it only reads.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+import adebps
+from adebps.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def common():
+    spec = importlib.util.spec_from_file_location("perfbench_common", BENCH / "common.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_cli_digests(common, tmp_path):
+    # the commands perfbench/record.py records, plus each localize command
+    # again from marking and descriptor files, which must print the same bytes
+    expected = common.load_json("cli.json")
+    marking, descriptor = tmp_path / "e8-a5.marking", tmp_path / "e8-a5.descriptor"
+    marking.write_text(common.MARKING_TEXT, encoding="utf-8")
+    descriptor.write_text(adebps.format_descriptor(adebps.load_case(common.CASE)[1]), encoding="utf-8")
+    files = ["--marking", str(marking), "--descriptor", str(descriptor)]
+    classes = [",".join(map(str, r.cls)) for r in adebps.bps_table(adebps.load_case(common.CASE)[0])]
+    commands = list(common.FIXED_COMMANDS)
+    for c in classes:
+        for fmt in ("plain", "json"):
+            for source in (["--case", common.CASE], files):
+                commands.append(common.localize_command(c, fmt, source))
+    assert {key for key, _ in commands} == set(expected) and len(expected) == 78
+    drift = []
+    for key, argv in commands:
+        code, out = _run(argv)
+        if (code, common.sha(out)) != (expected[key]["exit"], expected[key]["stdout"]):
+            drift.append((key, argv, code))
+    assert drift == []
+
+
+def test_localization_digests(common):
+    m, g = common.setup_case(adebps)
+    folded = {tuple(c): n for c, n in common.load_json("loc.json")["table"]}
+    assert {r.cls: str(r.invariant) for r in adebps.bps_table(m)} == folded
+    box = (common.DIGESTS / "loc_box12.bin").read_bytes()
+    classes = list(folded) + [c for c in common.all_box_classes(common.SMALL_HI) if c not in folded]
+    drift = []
+    for cls in classes:
+        text, n = common.localize_one(adebps, m, g, cls)
+        j = 4 * common.box_index(cls)
+        if common.box_digest(text) != box[j : j + 4]:
+            drift.append((cls, text))
+        elif (n is not None or cls in folded) and str(n) != folded.get(cls):
+            drift.append((cls, n, folded.get(cls)))
+    assert drift == []

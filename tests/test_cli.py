@@ -93,6 +93,13 @@ class TestTable:
         code, _, err = run(capsys, "table", "--marking", str(path))
         assert code == 2 and "error:" in err
 
+    def test_repeated_marking_line_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("kind A\nrank 2\nblack n1\nwhite n2\nblack n2\n", encoding="utf-8")
+        code, out, err = run(capsys, "table", "--marking", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: marking line 5: repeated 'black' line\n"
+
     def test_unknown_case(self, capsys):
         code, _, err = run(capsys, "table", "--case", "missing")
         assert code == 2 and "unknown case" in err

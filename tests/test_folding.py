@@ -266,3 +266,19 @@ class TestMarkingFormat:
     def test_bad_inputs(self, text):
         with pytest.raises(ValueError):
             parse_marking(text)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("kind A\nrank 3\nblack n1 n1\nwhite n2 n3\n", 3),  # black node listed twice
+            ("kind A\nrank 3\nblack n1 n01\nwhite n2 n3\n", 3),  # same node, another spelling
+            ("kind A\nrank 3\nblack n1\nwhite n2 n3 n2\n", 4),
+            ("kind A\nkind D\nrank 3\nblack n1\nwhite n2 n3\n", 2),  # repeated lines
+            ("kind A\nrank 3\nrank 4\nblack n1\nwhite n2 n3\n", 3),
+            ("kind A\nrank 3\nblack n1\n# comment\nblack n2\nwhite n2 n3\n", 5),
+            ("kind A\nrank 3\nblack n1\nwhite n2 n3\nwhite n3 n2\n", 5),
+        ],
+    )
+    def test_overriding_input_rejected(self, text, lineno):
+        with pytest.raises(ValueError, match=f"line {lineno}:"):
+            parse_marking(text)

@@ -22,6 +22,7 @@ from adebps.localize import (
     format_descriptor,
     line_bundle_on_curve,
     line_bundle_weight_at_point,
+    localize_class,
     parse_descriptor,
     point_contribution,
     total_chi,
@@ -147,12 +148,14 @@ class TestCharacters:
     def test_golden_characters(self, g, m, top):
         for p in g.y_points:
             assert chern_character_at(p, top, g, m) == GOLDEN_CH[p.name]
+        assert localize_class((3, 5, 4, 3), m, g).characters == GOLDEN_CH
 
     def test_golden_point_totals(self, g, m, top):
         for p in g.y_points:
             ch = chern_character_at(p, top, g, m)
             pref = expfactors(-w for w in p.weights)
             assert ch.dual() * ch == GOLDEN_CONTRIBUTIONS[p.name] * pref
+        assert localize_class((3, 5, 4, 3), m, g).contributions == GOLDEN_CONTRIBUTIONS
 
     def test_reference_totals(self, g, m):
         for cls, total, _, _, _ in REFERENCE_CLASSES:
@@ -211,18 +214,24 @@ class TestInvariants:
     def test_reference_classes(self, g, m):
         for cls, _, _, _, n in REFERENCE_CLASSES:
             assert bps_from_localization(cls, m, g) == n
+            assert localize_class(cls, m, g).n == n
 
     def test_full_table_agreement(self, g, m):
         for rec in bps_table(m):
             assert bps_from_localization(rec.cls, m, g) == rec.invariant
+            assert localize_class(rec.cls, m, g).n == rec.invariant
 
     def test_non_root_class_rejected(self, g, m):
         with pytest.raises(ValueError, match="positive root"):
             bps_from_localization((6, 0, 0, 6), m, g)
+        with pytest.raises(ValueError, match="positive root"):
+            localize_class((6, 0, 0, 6), m, g)
 
     def test_zero_class_rejected(self, g, m):
         with pytest.raises(ValueError):
             bps_from_localization((0, 0, 0, 0), m, g)
+        with pytest.raises(ValueError):
+            localize_class((0, 0, 0, 0), m, g)
 
 
 class TestEulerRows:
@@ -233,6 +242,10 @@ class TestEulerRows:
             assert (e2.scalar, e2.degree) == row2
             assert (e1.scalar, e1.degree) == row1
             assert Fraction(e2.scalar, e1.scalar) == n
+            r = localize_class(cls, m, g)
+            assert r.ext == dec
+            assert (r.euler_ext2.scalar, r.euler_ext2.degree) == row2
+            assert (r.euler_ext1.scalar, r.euler_ext1.degree) == row1
 
 
 class TestDescriptorFormat:
@@ -252,6 +265,9 @@ class TestDescriptorFormat:
             "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nP1 1 1 1\n",  # outside a section
             "DESCRIPTOR-VERSION 1\nY-POINTS\nP1 1 1 1\n",  # missing canonical weight
             "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nS-POINTS\nQ1 1 2 P1 F1\n",  # bad incidence
+            # a repeated header line must not silently replace the first one
+            "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nCANONICAL-WEIGHT -5\nY-POINTS\nP1 1 1 1\n",
+            "DESCRIPTOR-VERSION 1\nDESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nY-POINTS\nP1 1 1 1\n",
         ],
     )
     def test_bad_inputs(self, text):
