@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import product
 
 RootVector = tuple[int, ...]
 
 #: brute-force coefficient bound; no ADE positive root exceeds it
 ORACLE_BOUND = 6
+#: most vectors the brute-force oracle holds in memory at once
+ORACLE_SLAB = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,46 +141,77 @@ def is_positive_root(d: DynkinDiagram, v: RootVector) -> bool:
 
 @lru_cache(maxsize=None)
 def _positive_roots(d: DynkinDiagram) -> tuple[RootVector, ...]:
-    # Closure under adding simple roots: v + e_i is a root exactly when the
-    # quadratic condition still holds (simply laced), and every positive
-    # root is reachable from a simple root this way.
+    # Closure under adding simple roots.  For a root v,
+    # q(v + e_k) = q(v) + 2(Cv)_k + 2, so v + e_k is a root exactly when
+    # (Cv)_k = -1 (simply laced), and C(v + e_k) = Cv + column k.  Every
+    # positive root is reachable from a simple root this way.
     rank = d.rank
-    simple = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
-    found: set[RootVector] = set(simple)
-    frontier = list(simple)
+    nbrs = [d.neighbors(k) for k in range(rank)]
+    cartan = d.cartan_matrix()
+    frontier = [(tuple(int(i == k) for i in range(rank)), cartan[k]) for k in range(rank)]
+    found: set[RootVector] = {v for v, _ in frontier}
     while frontier:
-        v = frontier.pop()
-        for k in range(rank):
+        v, cv = frontier.pop()
+        for k, c in enumerate(cv):
+            if c != -1:
+                continue
             u = v[:k] + (v[k] + 1,) + v[k + 1:]
             if u in found:
                 continue
-            if cartan_pairing(d, u, u) == 2:
-                found.add(u)
-                frontier.append(u)
+            cu = list(cv)
+            cu[k] += 2
+            for j in nbrs[k]:
+                cu[j] -= 1
+            found.add(u)
+            frontier.append((u, tuple(cu)))
     return tuple(sorted(found))
 
 
 def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
-    """All v >= 0 with v^T C v = 2, sorted lexicographically."""
+    """All v >= 0 with v^T C v = 2, sorted lexicographically.
+
+    Computed once per diagram by a closure in which every root carries its
+    Cartan vector Cv: a root v extends to the root v + e_k exactly when
+    (Cv)_k = -1, and C(v + e_k) differs from Cv only at k and the
+    neighbours of k, so each candidate is an O(1) test and no step calls
+    :func:`cartan_pairing`.
+    """
     return list(_positive_roots(d))
 
 
 def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int = ORACLE_BOUND) -> list[RootVector]:
-    """Independent oracle: scan every vector with coefficients in [0, bound]."""
-    rank = d.rank
-    C = np.array(d.cartan_matrix(), dtype=np.int64)
-    vals = bound + 1
-    total = vals**rank
+    """Independent oracle: scan every vector with coefficients in [0, bound].
+
+    q(v) = 2 sum_i v_i^2 - 2 sum_(i,j) v_i v_j is built over the whole grid
+    [0, bound]^rank by broadcasting: one 1-D term added per node, one 2-D
+    term subtracted per edge of ``d.edges``.  The grid is cut into slabs
+    that fix the leading axes, each holding at most :data:`ORACLE_SLAB`
+    vectors, so memory stays bounded.  Shares no code with the closure.
+    """
+    import numpy as np
+
+    rank, vals = d.rank, bound + 1
+    lead = 0
+    while vals ** (rank - lead) > ORACLE_SLAB and lead < rank - 1:
+        lead += 1
+    # every partial sum of q lies in [0, 2 * rank * bound^2]; int32 only where that cannot wrap
+    dtype = np.int32 if 2 * rank * bound * bound < 2**31 else np.int64
+    axis = np.arange(vals, dtype=dtype)
     hits: list[RootVector] = []
-    chunk = 1 << 19
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        V = np.empty((idx.size, rank), dtype=np.int64)
-        for k in range(rank - 1, -1, -1):
-            V[:, k] = idx % vals
-            idx = idx // vals
-        q = ((V @ C) * V).sum(axis=1)
-        hits.extend(tuple(int(x) for x in row) for row in V[q == 2])
+    for prefix in product(range(vals), repeat=lead):
+        # the leading axes hold one value each in this slab, the rest run over [0, bound]
+        ranges = [np.array([a], dtype=dtype) for a in prefix] + [axis] * (rank - lead)
+        coords = [r.reshape((1,) * i + (-1,) + (1,) * (rank - 1 - i)) for i, r in enumerate(ranges)]
+        q = np.zeros((1,) * lead + (vals,) * (rank - lead), dtype=dtype)
+        for c in coords:
+            q += 2 * c * c
+        for i, j in d.edges:
+            q -= 2 * coords[i] * coords[j]
+        idx = np.nonzero(q == 2)
+        if idx[0].size:
+            hit = np.stack(idx, axis=1)
+            hit[:, :lead] = prefix
+            hits.extend(map(tuple, hit.tolist()))
     return sorted(hits)
 
 

@@ -2,7 +2,8 @@
 
 ``perfbench/digests`` holds the stdout digest and exit code of every
 command the cli-oneshot workload can issue, the localization digest of
-every class in [0,12]^4 and the folded e8-a5 table.  The benchmark
+every class in [0,12]^4, the folded e8-a5 table, and the root lists and
+folded tables of the roots-ladder diagrams and oracle scans.  The benchmark
 fails an operation whose output drifts from them, so this suite pins
 the same outputs, through the same helpers in ``perfbench/common.py``,
 which it only reads.
@@ -73,4 +74,22 @@ def test_localization_digests(common):
             drift.append((cls, text))
         elif (n is not None or cls in folded) and str(n) != folded.get(cls):
             drift.append((cls, n, folded.get(cls)))
+    assert drift == []
+
+
+def test_ladder_digests(common):
+    # every fold diagram under both alternating markings, and every oracle scan
+    expected = common.load_json("ladder.json")
+    runs = [("fold", kind, rank, parity) for kind, rank in common.LADDER for parity in (0, 1)]
+    runs += [("oracle", kind, rank, 0) for kind, rank in common.ORACLE_RUNGS]
+    assert {f"{op} {kind}{rank}" for op, kind, rank, _ in runs} == set(expected)
+    drift = []
+    for op, kind, rank, parity in runs:
+        want = expected[f"{op} {kind}{rank}"]
+        roots, table = common.ladder_op(adebps, op, kind, rank, parity)
+        got = (len(roots), common.sha(common.roots_text(roots)))
+        if got != (want["count"], want["roots"]):
+            drift.append((op, kind, rank, got))
+        if op == "fold" and common.sha(common.table_text(table)) != want["table"][parity]:
+            drift.append((op, kind, rank, parity))
     assert drift == []

@@ -1,10 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from adebps.catalog import e8_a5_descriptor
 from adebps.cli import main
 from adebps.localize import format_descriptor, parse_descriptor
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run(capsys, *argv):
@@ -216,6 +229,21 @@ class TestVerify:
         assert code == 1
         assert "FAIL doomed: boom" in out
 
+    def test_optimized_interpreter_still_fails(self):
+        # python -O strips assert statements; the checks must fail without them
+        script = (
+            "import sys\n"
+            "from adebps import cli, verify\n"
+            "rows = list(verify.REFERENCE_CLASSES)\n"
+            "rows[0] = (rows[0][0], {0: 1, 3: 1}) + rows[0][2:]\n"
+            "verify.REFERENCE_CLASSES = tuple(rows)\n"
+            "sys.exit(cli.main(['verify', '--quick']))\n"
+        )
+        p = run_python("-O", "-c", script)
+        assert p.returncode == 1, p.stderr
+        assert "FAIL character totals for the four reference classes: (3, 5, 4, 3): chi = 1 - mu^3" in p.stdout
+        assert p.stdout.endswith("5/6 checks passed\n")
+
 
 class TestDumpDescriptor:
     def test_bit_exact(self, capsys):
@@ -232,3 +260,10 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the brute-force oracle alone, not on every command
+    p = run_python("-c", "import sys, adebps.cli; print('numpy' in sys.modules)")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "False\n"

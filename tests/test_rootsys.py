@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from adebps import rootsys
 from adebps.rootsys import (
+    ORACLE_BOUND,
     DynkinDiagram,
     build_diagram,
     cartan_pairing,
@@ -92,10 +94,61 @@ def test_positive_root_counts(kind, rank, count):
     assert len(enumerate_positive_roots(build_diagram(kind, rank))) == count
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 5), ("D", 4), ("D", 5), ("E", 6)])
+#: the diagrams ``verify`` compares the closure with the oracle on
+VERIFY_DIAGRAMS = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("kind,rank", VERIFY_DIAGRAMS)
 def test_closure_equals_bruteforce(kind, rank):
     d = build_diagram(kind, rank)
     assert enumerate_positive_roots(d) == enumerate_positive_roots_bruteforce(d)
+
+
+@pytest.mark.parametrize("kind", ["D", "E"])
+def test_closure_equals_bruteforce_relabeled(kind):
+    rng = random.Random(23)
+    base = build_diagram(kind, 8)
+    roots = set(enumerate_positive_roots(base))
+    for _ in range(2):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        d = DynkinDiagram(kind, 8, tuple((perm[i], perm[j]) for i, j in base.edges))
+        got = enumerate_positive_roots(d)
+        assert got == enumerate_positive_roots_bruteforce(d)
+        assert {tuple(r[perm[i]] for i in range(8)) for r in got} == roots
+
+
+class TestBruteforceBound:
+    def test_e8_bound_5_misses_the_roots_with_a_6(self):
+        # five E8 roots reach 6, all at the branch node n5; the highest root is one of them
+        d = build_diagram("E", 8)
+        got = enumerate_positive_roots_bruteforce(d, bound=5)
+        missed = [r for r in enumerate_positive_roots(d) if r not in got]
+        assert len(got) == 115 and got == [r for r in enumerate_positive_roots(d) if max(r) <= 5]
+        assert len(missed) == 5 and all(r[4] == 6 for r in missed)
+        assert highest_root(d) in missed
+
+    def test_a4_bound_10(self):
+        d = build_diagram("A", 4)
+        assert enumerate_positive_roots_bruteforce(d, bound=10) == enumerate_positive_roots(d)
+
+    def test_many_slabs_equal_one(self, monkeypatch):
+        d = build_diagram("D", 5)
+        whole = enumerate_positive_roots_bruteforce(d)
+        assert rootsys.ORACLE_SLAB >= (ORACLE_BOUND + 1) ** 5  # a single slab by default
+        monkeypatch.setattr(rootsys, "ORACLE_SLAB", (ORACLE_BOUND + 1) ** 2)  # 343 slabs
+        assert enumerate_positive_roots_bruteforce(d) == whole
+        monkeypatch.setattr(rootsys, "ORACLE_SLAB", 1)  # every slab one row of the last axis
+        assert enumerate_positive_roots_bruteforce(d) == whole
+
+
+@pytest.mark.parametrize("kind,rank,count", [("A", 80, 3240), ("D", 40, 1560)])
+def test_large_closure_sorted_unique_valid(kind, rank, count):
+    d = build_diagram(kind, rank)
+    roots = enumerate_positive_roots(d)
+    assert len(roots) == count
+    assert roots == sorted(set(roots))
+    assert all(is_positive_root(d, v) for v in roots)
 
 
 def test_enumeration_is_sorted_and_valid():
