@@ -78,11 +78,16 @@ class BPSRecord:
 
 
 def bps_table(m: Marking) -> list[BPSRecord]:
-    """Fold all positive roots and count fibers; n = count/2 per class."""
+    """Fold all positive roots and count fibers; n = count/2 per class.
+
+    The closure yields only positive roots, so each white part is taken
+    directly, without :func:`project`'s check that its argument is a root.
+    """
+    white_order = m.white_order
     fibers: Counter[CurveClass] = Counter()
     for root in enumerate_positive_roots(m.diagram):
-        cls = project(root, m)
-        if cls is not None:
+        cls = tuple(root[i] for i in white_order)
+        if any(cls):
             fibers[cls] += 1
     return [BPSRecord(cls, n, Fraction(n, 2)) for cls, n in sorted(fibers.items())]
 

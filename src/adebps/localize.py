@@ -31,7 +31,8 @@ from .symring import (
     VirtualCharacter,
     euler_class,
     expfactor,
-    expfactors,
+    quotient_sum,
+    times_expfactors,
     to_polynomial,
 )
 
@@ -135,15 +136,21 @@ def _unit(rank: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(rank))
 
 
-def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
-    """Residue summand of one isolated surface point, image prefactor included."""
-    y = g.y_point(q.image)
+# Every residue summand over a threefold point p carries the same
+# prefactor E_p = e(N)/td of p, the product of 1 - mu^-w over its tangent
+# weights w.  The kernel keeps it out: S_p sums the residues without it,
+# so ch_p = E_p * S_p, and the contribution ch_p^dual * ch_p / E_p is
+# E_p^dual * S_p^dual * S_p, in which E_p never has to be divided back out.
+
+
+def _point_residue(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
+    """Residue of one isolated surface point, without its image's prefactor."""
     w = line_bundle_weight_at_point(lft, q, g, m)
-    return Quotient(expfactors(_euler_by_todd(y.weights) + (w,)), _euler_by_todd(q.weights))
+    return Quotient(expfactor(w), _euler_by_todd(q.weights))
 
 
-def curve_contribution(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> Quotient:
-    """Residue summand of a pointwise-fixed curve, pushed down to its image.
+def _curve_residue(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> Quotient:
+    """Push-down of a pointwise-fixed curve, without its image's prefactor.
 
     Over the curve, with x its point class (x^2 = 0), the restriction is
     A + A'x with A = 1 - mu^w, A' = -d*mu^w; the tangent line has weight
@@ -152,43 +159,54 @@ def curve_contribution(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: 
     self-intersection s.  The push-down is the x-coefficient of
     (A + A'x)(1 + x)/(B + B'x), that is ((A + A')B - AB')/B^2.
     """
-    if e not in g.s_curves:
-        raise DescriptorError(f"unknown curve {e.name!r}")
     n = e.normal_weight
     if n == 0:
         raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
-    y = g.y_point(e.image)
     w, d = line_bundle_on_curve(lft, e, g, m)
+    s = e.self_intersection
     a = expfactor(w)
-    a1 = LaurentPoly({w: -d})
+    a1 = LaurentPoly._raw({w: -d} if d else {})
     b = expfactor(-n)
-    b1 = LaurentPoly({-n: e.self_intersection})
-    num = expfactors(_euler_by_todd(y.weights)) * ((a + a1) * b - a * b1)
-    return Quotient(num, (-n, -n))
+    b1 = LaurentPoly._raw({-n: s} if s else {})
+    return Quotient((a + a1) * b - a * b1, (-n, -n))
+
+
+def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
+    """Residue summand of one isolated surface point, image prefactor included."""
+    y = g.y_point(q.image)
+    return times_expfactors(_point_residue(lft, q, g, m), _euler_by_todd(y.weights))
+
+
+def curve_contribution(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> Quotient:
+    """Residue summand of a pointwise-fixed curve, pushed down to its image."""
+    if e not in g.s_curves:
+        raise DescriptorError(f"unknown curve {e.name!r}")
+    y = g.y_point(e.image)
+    return times_expfactors(_curve_residue(lft, e, g, m), _euler_by_todd(y.weights))
+
+
+def _residue_sum(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
+    """S_p: the residues of the surface components over p, without E_p."""
+    terms = [_point_residue(lft, q, g, m) for q in g.s_points if q.image == p.name]
+    terms += [_curve_residue(lft, e, g, m) for e in g.s_curves if e.image == p.name]
+    if terms:
+        _euler_by_todd(p.weights)  # a degenerate image point raises
+    return quotient_sum(terms)
 
 
 def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    total = Quotient()
-    for q in g.s_points:
-        if q.image == p.name:
-            total = total + point_contribution(lft, q, g, m)
-    for e in g.s_curves:
-        if e.image == p.name:
-            total = total + curve_contribution(lft, e, g, m)
-    return total
+    return times_expfactors(_residue_sum(p, lft, g, m), (-w for w in p.weights))
 
 
-def _point_terms(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
-    """(name, ch_p, ch_p^dual * ch_p / (e(N)/td)) for every threefold point p."""
-    for p in g.y_points:
-        ch = chern_character_at(p, lft, g, m)
-        yield p.name, ch, (ch.dual() * ch * Quotient(1, _euler_by_todd(p.weights)) if ch else ch)
+def _contribution(p: YPoint, s: Quotient) -> Quotient:
+    """ch_p^dual * ch_p / (e(N)/td) = E_p^dual * S_p^dual * S_p, from S_p."""
+    return times_expfactors(s.dual() * s, p.weights) if s else s
 
 
 def _certified_sum(contributions) -> VirtualCharacter:
     """Sum point contributions; ``to_polynomial`` certifies the total is integral."""
-    return to_polynomial(sum(contributions, Quotient()))
+    return to_polynomial(quotient_sum(contributions))
 
 
 def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualCharacter:
@@ -198,7 +216,7 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    return _certified_sum(contribution for _, _, contribution in _point_terms(lft, g, m))
+    return _certified_sum(_contribution(p, _residue_sum(p, lft, g, m)) for p in g.y_points)
 
 
 @dataclass(frozen=True)
@@ -251,15 +269,15 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    terms = tuple(_point_terms(lft, g, m))
-    contributions = {name: contribution for name, _, contribution in terms}
+    sums = [(p, _residue_sum(p, lft, g, m)) for p in g.y_points]
+    contributions = {p.name: _contribution(p, s) for p, s in sums}
     chi = _certified_sum(contributions.values())
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
     e1 = euler_class(ext.ext1)
     e2 = euler_class(ext.ext2)
     if e2.degree != e1.degree:
         raise ValueError("equivariant degrees of the two Euler classes do not cancel")
-    characters = {name: ch for name, ch, _ in terms}
+    characters = {p.name: times_expfactors(s, (-w for w in p.weights)) for p, s in sums}
     n = Fraction(e2.scalar, e1.scalar)
     return LocalizationResult(lft, characters, contributions, chi, ext, e1, e2, n)
 

@@ -184,34 +184,42 @@ def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int = ORACLE_BO
 
     q(v) = 2 sum_i v_i^2 - 2 sum_(i,j) v_i v_j is built over the whole grid
     [0, bound]^rank by broadcasting: one 1-D term added per node, one 2-D
-    term subtracted per edge of ``d.edges``.  The grid is cut into slabs
-    that fix the leading axes, each holding at most :data:`ORACLE_SLAB`
-    vectors, so memory stays bounded.  Shares no code with the closure.
+    term subtracted per edge of ``d.edges``.  The grid is cut into slabs of
+    at most :data:`ORACLE_SLAB` vectors (or one row of the last axis, where
+    a row is longer), so memory stays bounded: a slab fixes all leading
+    axes but the last of them at one value each, runs that one over a
+    range of values and the trailing axes over all of [0, bound].  Shares
+    no code with the closure.
     """
     import numpy as np
 
     rank, vals = d.rank, bound + 1
-    lead = 0
-    while vals ** (rank - lead) > ORACLE_SLAB and lead < rank - 1:
+    # axes before lead - 1 take one value per slab, axis lead - 1 a range of
+    # ``step`` values, the trailing axes all of [0, bound]
+    lead = 1
+    while lead < rank - 1 and vals ** (rank - lead) > ORACLE_SLAB:
         lead += 1
+    step = max(1, ORACLE_SLAB // vals ** (rank - lead))
     # every partial sum of q lies in [0, 2 * rank * bound^2]; int32 only where that cannot wrap
     dtype = np.int32 if 2 * rank * bound * bound < 2**31 else np.int64
     axis = np.arange(vals, dtype=dtype)
     hits: list[RootVector] = []
-    for prefix in product(range(vals), repeat=lead):
-        # the leading axes hold one value each in this slab, the rest run over [0, bound]
-        ranges = [np.array([a], dtype=dtype) for a in prefix] + [axis] * (rank - lead)
-        coords = [r.reshape((1,) * i + (-1,) + (1,) * (rank - 1 - i)) for i, r in enumerate(ranges)]
-        q = np.zeros((1,) * lead + (vals,) * (rank - lead), dtype=dtype)
-        for c in coords:
-            q += 2 * c * c
-        for i, j in d.edges:
-            q -= 2 * coords[i] * coords[j]
-        idx = np.nonzero(q == 2)
-        if idx[0].size:
-            hit = np.stack(idx, axis=1)
-            hit[:, :lead] = prefix
-            hits.extend(map(tuple, hit.tolist()))
+    for prefix in product(range(vals), repeat=lead - 1):
+        for start in range(0, vals, step):
+            ranges = [np.array([a], dtype=dtype) for a in prefix]
+            ranges += [axis[start:start + step]] + [axis] * (rank - lead)
+            coords = [r.reshape((1,) * i + (-1,) + (1,) * (rank - 1 - i)) for i, r in enumerate(ranges)]
+            q = np.zeros(tuple(r.size for r in ranges), dtype=dtype)
+            for c in coords:
+                q += 2 * c * c
+            for i, j in d.edges:
+                q -= 2 * coords[i] * coords[j]
+            idx = np.nonzero(q == 2)
+            if idx[0].size:
+                hit = np.stack(idx, axis=1)
+                hit[:, :lead - 1] = prefix
+                hit[:, lead - 1] += start
+                hits.extend(map(tuple, hit.tolist()))
     return sorted(hits)
 
 

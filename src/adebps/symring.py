@@ -7,9 +7,15 @@ same object.  A residue summand of the localization formula is a
 ``Quotient``: an integer Laurent numerator over a product of factors
 1 - mu^k with k > 0.  Those are the only denominators localization ever
 produces, because a factor 1 - mu^-k is -mu^-k * (1 - mu^k) and its
-sign and monomial move into the numerator.  Summands add over the
-largest exponent of each factor and multiply by adding exponents; no
-gcd is ever taken.
+sign and monomial move into the numerator.  Summands multiply by adding
+exponents and add through ``quotient_sum``: it takes the largest
+exponent of each factor over all summands first, then lifts each
+numerator to that common denominator exactly once, so a long sum never
+re-lifts a growing accumulator.  No gcd is ever taken.  A factor known
+to cancel is never multiplied in only to be divided back out:
+localization keeps each threefold point's Euler factor out of its
+residue sum and applies it afterwards, two terms at a time, with
+``times_expfactors``.
 
 ``to_polynomial`` certifies a total by exact division: it divides out
 one factor 1 - mu^k at a time with the integer recurrence
@@ -218,7 +224,7 @@ def _times_expfactor(a: dict[int, int], k: int, e: int) -> dict[int, int]:
 
 def expfactor(w: int) -> LaurentPoly:
     """The two-term factor 1 - mu^w (the zero polynomial when w = 0)."""
-    return LaurentPoly([(0, 1), (w, -1)])
+    return LaurentPoly._raw({0: 1, w: -1} if w else {})
 
 
 def expfactors(weights: Iterable[int]) -> LaurentPoly:
@@ -302,15 +308,7 @@ class Quotient:
         o = _as_quotient(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            return self
-        if not self.num:
-            return o
-        den = dict(self.den)
-        for k, e in o.den.items():
-            if e > den.get(k, 0):
-                den[k] = e
-        return Quotient._raw(_add(_lift(self, den), _lift(o, den)), den)
+        return quotient_sum((self, o))
 
     __radd__ = __add__
 
@@ -356,6 +354,36 @@ def _lift(q: Quotient, den: dict[int, int]) -> dict[int, int]:
     for k, e in den.items():
         a = _times_expfactor(a, k, e - q.den.get(k, 0))
     return a
+
+
+def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
+    """The sum of the quotients over the largest exponent of each factor.
+
+    The common denominator is fixed before any numerator is touched, so
+    each summand is lifted exactly once.  Zero summands are skipped and
+    add nothing to the denominator; the empty sum is 0.
+    """
+    terms = [t for t in terms if t.num]
+    if len(terms) == 1:
+        return terms[0]
+    den: dict[int, int] = {}
+    for t in terms:
+        for k, e in t.den.items():
+            if e > den.get(k, 0):
+                den[k] = e
+    acc: dict[int, int] = {}
+    for t in terms:
+        for w, c in _lift(t, den).items():
+            acc[w] = acc.get(w, 0) + c
+    return Quotient._raw({w: c for w, c in acc.items() if c}, den)
+
+
+def times_expfactors(u: Quotient, weights: Iterable[int]) -> Quotient:
+    """u times the product of the factors 1 - mu^w, one two-term pass per factor."""
+    a = u.num.coeffs
+    for w in weights:
+        a = _times_expfactor(a, w, 1)
+    return Quotient._raw(a, dict(u.den))
 
 
 def to_polynomial(u: Quotient) -> VirtualCharacter:

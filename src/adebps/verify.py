@@ -2,7 +2,8 @@
 
 The quick subset exercises the four reference classes of the built-in
 case; the full run adds enumeration oracles, whole-table consistency,
-the non-root scan and the blackening uniqueness search.
+the non-root scan, the invariants of every total on the class box
+[0,3]^4 and the blackening uniqueness search.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations, product
 
 from . import catalog
 from .folding import bps_table, lift, project
-from .localize import localize_class, point_contribution, validate_descriptor
+from .localize import localize_class, point_contribution, total_chi, validate_descriptor
 from .rootsys import (
     build_diagram,
     enumerate_positive_roots,
@@ -213,6 +214,23 @@ def _totals_unit_ends(m, g) -> str:
     return "4 totals vanish at mu=1 with coefficients +1/-1 at weights 0/3"
 
 
+def _box_invariants(m, g) -> str:
+    # total_chi raises unless the total divides out to an integer polynomial
+    serre = VirtualCharacter({-g.canonical_weight: 1})
+    count = 0
+    for cls in product(range(4), repeat=4):
+        if not any(cls):
+            continue
+        chi = total_chi(lift(cls, m), g, m)
+        _expect(chi.evaluate(Fraction(1)) == 0, f"{cls}: chi(1) != 0")
+        _expect(serre * chi.dual() == -chi, f"{cls}: no Serre antisymmetry in {chi}")
+        count += 1
+    return (
+        f"{count} classes of [0,3]^4, root and non-root: integral, chi(1) = 0, Serre antisymmetric"
+        " (checks that do not rest on the fitted e8-a5 weights)"
+    )
+
+
 def _cross_pipeline_full(m, g) -> str:
     for rec in bps_table(m):
         loc = localize_class(rec.cls, m, g).n
@@ -256,6 +274,7 @@ FULL_CHECKS = (
     ("folded table statistics", _table_statistics),
     ("lift validity across the table image", _lift_validity),
     ("square of the lift rejects non-root classes", _nonroot_classes_scan),
+    ("totals on the class box [0,3]^4 are integral and Serre antisymmetric", _box_invariants),
     ("folding and localization agree on every table class", _cross_pipeline_full),
     ("the blackening is the unique valid one", _blackening_unique),
 )

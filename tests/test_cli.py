@@ -212,7 +212,7 @@ class TestVerify:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) - 1 >= 12
-        assert lines[-1] == "14/14 checks passed"
+        assert lines[-1] == "15/15 checks passed"
 
     def test_unknown_case_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "missing")
@@ -243,6 +243,25 @@ class TestVerify:
         assert p.returncode == 1, p.stderr
         assert "FAIL character totals for the four reference classes: (3, 5, 4, 3): chi = 1 - mu^3" in p.stdout
         assert p.stdout.endswith("5/6 checks passed\n")
+
+    def test_box_invariants_catch_a_broken_total(self, monkeypatch):
+        from adebps import verify
+        from adebps.symring import LaurentPoly
+
+        # vanishes at mu = 1 but is not Serre antisymmetric
+        monkeypatch.setattr(verify, "total_chi", lambda lft, g, m: LaurentPoly({0: 1, 1: -1}))
+        m, g = verify.catalog.load_case("e8-a5")
+        with pytest.raises(AssertionError, match="Serre antisymmetry"):
+            verify._box_invariants(m, g)
+        monkeypatch.setattr(verify, "total_chi", lambda lft, g, m: LaurentPoly({0: 1}))
+        with pytest.raises(AssertionError, match=r"chi\(1\) != 0"):
+            verify._box_invariants(m, g)
+
+    def test_box_invariants_detail_names_the_unfitted_checks(self):
+        from adebps import verify
+
+        detail = verify._box_invariants(*verify.catalog.load_case("e8-a5"))
+        assert detail.startswith("255 classes") and "fitted e8-a5 weights" in detail
 
 
 class TestDumpDescriptor:

@@ -28,7 +28,14 @@ from adebps.localize import (
     total_chi,
     validate_descriptor,
 )
-from adebps.symring import LaurentPoly, Quotient, VirtualCharacter, euler_class, expfactors
+from adebps.symring import (
+    LaurentPoly,
+    Quotient,
+    VirtualCharacter,
+    euler_class,
+    expfactors,
+    to_polynomial,
+)
 from adebps.verify import GOLDEN_CH, GOLDEN_CONTRIBUTIONS, GOLDEN_SUMMANDS, REFERENCE_CLASSES
 
 
@@ -416,3 +423,66 @@ def test_descriptor_mutation_sweep(m, g):
         ("s_curves", 0, "self_intersection", -1), ("s_curves", 0, "self_intersection", 1)
     ]
     assert certificate_only == [("s_curves", 0, "normal_weight", 1)]
+
+
+# -- the kernel against the formula it replaces -----------------------------
+
+
+def _todd_by_euler(p):
+    """td/e(N) at the threefold point p: 1 / prod (1 - mu^-w) over its tangent weights."""
+    return Quotient(1, [-w for w in p.weights])
+
+
+def _chi_from_characters(lft, g, m):
+    """The sum over p of ch_p^dual * ch_p * td/e(N), from the public characters."""
+    total = Quotient()
+    for p in g.y_points:
+        ch = chern_character_at(p, lft, g, m)
+        total = total + ch.dual() * ch * _todd_by_euler(p)
+    return to_polynomial(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 12)] * 4).filter(any))
+def test_total_chi_equals_character_formula(cls):
+    m, g = e8_a5_marking(), e8_a5_descriptor()
+    lft = lift(cls, m)
+    assert total_chi(lft, g, m) == _chi_from_characters(lft, g, m)
+
+
+def test_record_contributions_equal_character_formula(m, g):
+    for rec in bps_table(m):
+        r = localize_class(rec.cls, m, g)
+        for p in g.y_points:
+            ch = r.characters[p.name]
+            assert ch == chern_character_at(p, r.lift, g, m)
+            assert r.contributions[p.name] == ch.dual() * ch * _todd_by_euler(p), (rec.cls, p.name)
+
+
+def _degenerate(g, name, weights):
+    return GeometryDescriptor(
+        tuple(YPoint(y.name, weights) if y.name == name else y for y in g.y_points),
+        g.s_points,
+        g.s_curves,
+        g.canonical_weight,
+    )
+
+
+@pytest.mark.parametrize("name", ["P1", "P4", "P"])  # surface points over P1 and P4, the curve over P
+def test_degenerate_threefold_point_raises(m, g, top, name):
+    broken = _degenerate(g, name, (0, 1, 2))
+    with pytest.raises(DescriptorError, match="degenerate fixed point"):
+        total_chi(top, broken, m)
+    with pytest.raises(DescriptorError, match="degenerate fixed point"):
+        localize_class((3, 5, 4, 3), m, broken)
+    with pytest.raises(DescriptorError, match="degenerate fixed point"):
+        chern_character_at(broken.y_point(name), top, broken, m)
+    # the check depends on the descriptor, not on the class
+    with pytest.raises(DescriptorError, match="degenerate fixed point"):
+        total_chi(lift((0, 1, 0, 0), m), broken, m)
+
+
+def test_degenerate_point_with_nothing_over_it(m, g, top):
+    lonely = GeometryDescriptor(g.y_points + (YPoint("P9", (0, 1, 2)),), g.s_points, g.s_curves)
+    assert chern_character_at(lonely.y_point("P9"), top, lonely, m) == 0
+    assert total_chi(top, lonely, m) == total_chi(top, g, m)

@@ -141,6 +141,16 @@ class TestBruteforceBound:
         monkeypatch.setattr(rootsys, "ORACLE_SLAB", 1)  # every slab one row of the last axis
         assert enumerate_positive_roots_bruteforce(d) == whole
 
+    @pytest.mark.parametrize("slab", [5, 50, 1000])
+    @pytest.mark.parametrize("kind,rank,bound", [("D", 5, ORACLE_BOUND), ("A", 3, 40)])
+    def test_slabs_that_cut_a_row(self, monkeypatch, slab, kind, rank, bound):
+        # slab sizes that do not divide a row: the cut axis ends in a short range
+        d = build_diagram(kind, rank)
+        whole = enumerate_positive_roots_bruteforce(d, bound=bound)
+        assert rootsys.ORACLE_SLAB >= (bound + 1) ** rank  # a single slab by default
+        monkeypatch.setattr(rootsys, "ORACLE_SLAB", slab)
+        assert enumerate_positive_roots_bruteforce(d, bound=bound) == whole == enumerate_positive_roots(d)
+
 
 @pytest.mark.parametrize("kind,rank,count", [("A", 80, 3240), ("D", 40, 1560)])
 def test_large_closure_sorted_unique_valid(kind, rank, count):

@@ -11,6 +11,8 @@ from adebps.symring import (
     euler_class,
     expfactor,
     expfactors,
+    quotient_sum,
+    times_expfactors,
     to_polynomial,
 )
 
@@ -249,3 +251,40 @@ def test_ratfn_pointwise_evaluation_oracle():
             want = at(num, ks, x) * at(vnum, vks, x) + at(num, ks, x)
             assert expr.evaluate(x) == want
             assert expr.dual().evaluate(x) == expr.evaluate(1 / x)
+
+
+def test_quotient_sum_equals_binary_fold():
+    # the n-ary sum against the left fold of binary + and against exact
+    # evaluation of every summand; zero summands and empty input included
+    rng = random.Random(77)
+    points = [Fraction(3, 2), Fraction(-5, 3)]
+    for _ in range(300):
+        terms = [Quotient(random_poly(rng), random_weights(rng, 4)) for _ in range(rng.randrange(6))]
+        terms += [Quotient(0, random_weights(rng))] * rng.randrange(2)
+        rng.shuffle(terms)
+        fold = Quotient()
+        for t in terms:
+            fold = fold + t
+        got = quotient_sum(terms)
+        assert got == fold
+        largest = {}  # the common denominator: the largest exponent of each factor
+        for t in terms:
+            for k, e in t.den.items():
+                if t.num:
+                    largest[k] = max(e, largest.get(k, 0))
+        assert got.den == fold.den == largest
+        for x in points:
+            assert got.evaluate(x) == sum((t.evaluate(x) for t in terms), Fraction(0))
+    assert quotient_sum([]) == 0 and not quotient_sum([]).den
+    zero_den = Quotient(0, (2, 2))
+    assert quotient_sum([zero_den]).den == {} and quotient_sum([zero_den, Quotient(1, (3,))]).den == {3: 1}
+
+
+def test_times_expfactors_equals_the_product():
+    rng = random.Random(8)
+    for _ in range(200):
+        u = Quotient(random_poly(rng), random_weights(rng))
+        ws = [rng.randrange(-7, 8) for _ in range(rng.randrange(4))]
+        got = times_expfactors(u, ws)
+        assert got == u * expfactors(ws)
+        assert got.den == u.den
