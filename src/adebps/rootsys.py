@@ -1,21 +1,20 @@
 """ADE Dynkin diagrams, the Cartan form, and positive-root enumeration.
 
-All vectors are positional integer tuples over the fixed node order
-n1..n_rank, so values stay comparable across modules and files.
+Positive roots are enumerated twice, by code that shares nothing: a
+closure under adding simple roots, and an exact square-completion oracle
+that ``verify`` compares it with.  All vectors are positional integer
+tuples over the fixed node order n1..n_rank, so values stay comparable
+across modules and files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from math import ceil, floor, isqrt
 
 RootVector = tuple[int, ...]
-
-#: brute-force coefficient bound; no ADE positive root exceeds it
-ORACLE_BOUND = 6
-#: most vectors the brute-force oracle holds in memory at once
-ORACLE_SLAB = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,18 @@ class DynkinDiagram:
             raise ValueError("diagram is not connected")
         if any(d > 3 for d in deg) or sum(d == 3 for d in deg) > 1:
             raise ValueError("node degrees are not of ADE shape")
+        if 3 in deg:
+            # arms of a, b, c nodes (each counting the branch node) give a
+            # positive definite form exactly when 1/a + 1/b + 1/c > 1
+            branch = deg.index(3)
+            arms = []
+            for start in adj[branch]:
+                prev, node, size = branch, start, 2
+                while deg[node] == 2:
+                    prev, node, size = node, next(nb for nb in adj[node] if nb != prev), size + 1
+                arms.append(size)
+            if sum(Fraction(1, a) for a in arms) <= 1:
+                raise ValueError(f"branch arms of {sorted(arms)} nodes are not of ADE shape")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(b if a == i else a for a, b in self.edges if i in (a, b)))
@@ -179,48 +190,48 @@ def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
     return list(_positive_roots(d))
 
 
-def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int = ORACLE_BOUND) -> list[RootVector]:
-    """Independent oracle: scan every vector with coefficients in [0, bound].
+def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int | None = None) -> list[RootVector]:
+    """Independent oracle: every v >= 0 with q(v) = v^T C v = 2, by completing squares.
 
-    q(v) = 2 sum_i v_i^2 - 2 sum_(i,j) v_i v_j is built over the whole grid
-    [0, bound]^rank by broadcasting: one 1-D term added per node, one 2-D
-    term subtracted per edge of ``d.edges``.  The grid is cut into slabs of
-    at most :data:`ORACLE_SLAB` vectors (or one row of the last axis, where
-    a row is longer), so memory stays bounded: a slab fixes all leading
-    axes but the last of them at one value each, runs that one over a
-    range of values and the trailing axes over all of [0, bound].  Shares
-    no code with the closure.
+    An exact LDL^T of the form built from ``d.edges`` writes q(v) as
+    sum_i p_i (v_i + sum_(j>i) l_ji v_j)^2 with pivots p_i > 0.  Choosing
+    v_rank, ..., v_1 in turn, each square may take at most what is left of
+    the budget 2, which bounds each v_i to an interval found with ``isqrt``;
+    every candidate is checked in ``Fraction``, and a budget ending at 0
+    means q(v) = 2 (so v != 0).  No coefficient bound is assumed (Fincke
+    and Pohst, Math. Comp. 44, 1985); ``bound``, if given, only drops roots
+    with a larger coefficient.  Shares no code with the closure.
     """
-    import numpy as np
-
-    rank, vals = d.rank, bound + 1
-    # axes before lead - 1 take one value per slab, axis lead - 1 a range of
-    # ``step`` values, the trailing axes all of [0, bound]
-    lead = 1
-    while lead < rank - 1 and vals ** (rank - lead) > ORACLE_SLAB:
-        lead += 1
-    step = max(1, ORACLE_SLAB // vals ** (rank - lead))
-    # every partial sum of q lies in [0, 2 * rank * bound^2]; int32 only where that cannot wrap
-    dtype = np.int32 if 2 * rank * bound * bound < 2**31 else np.int64
-    axis = np.arange(vals, dtype=dtype)
+    n = d.rank
+    form = [[Fraction(2 * (i == j)) for j in range(n)] for i in range(n)]
+    for i, j in d.edges:
+        form[i][j] = form[j][i] = Fraction(-1)
+    pivot: list[Fraction] = []
+    low = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        pivot.append(form[k][k] - sum(low[k][j] ** 2 * pivot[j] for j in range(k)))
+        for i in range(k + 1, n):
+            low[i][k] = (form[i][k] - sum(low[i][j] * low[k][j] * pivot[j] for j in range(k))) / pivot[k]
+    v = [0] * n
     hits: list[RootVector] = []
-    for prefix in product(range(vals), repeat=lead - 1):
-        for start in range(0, vals, step):
-            ranges = [np.array([a], dtype=dtype) for a in prefix]
-            ranges += [axis[start:start + step]] + [axis] * (rank - lead)
-            coords = [r.reshape((1,) * i + (-1,) + (1,) * (rank - 1 - i)) for i, r in enumerate(ranges)]
-            q = np.zeros(tuple(r.size for r in ranges), dtype=dtype)
-            for c in coords:
-                q += 2 * c * c
-            for i, j in d.edges:
-                q -= 2 * coords[i] * coords[j]
-            idx = np.nonzero(q == 2)
-            if idx[0].size:
-                hit = np.stack(idx, axis=1)
-                hit[:, :lead - 1] = prefix
-                hit[:, lead - 1] += start
-                hits.extend(map(tuple, hit.tolist()))
-    return sorted(hits)
+
+    def choose(i: int, budget: Fraction) -> None:
+        if i < 0:
+            if budget == 0:
+                hits.append(tuple(v))
+            return
+        # p_i (x + shift)^2 <= budget bounds |x + shift| by sqrt(budget / p_i) < reach + 1
+        shift = sum(low[j][i] * v[j] for j in range(i + 1, n))
+        reach = isqrt(floor(budget / pivot[i]))
+        for x in range(max(0, floor(-shift) - reach), ceil(-shift) + reach + 1):
+            rest = budget - pivot[i] * (x + shift) ** 2
+            if rest >= 0:
+                v[i] = x
+                choose(i - 1, rest)
+        v[i] = 0
+
+    choose(n - 1, Fraction(2))
+    return sorted(r for r in hits if bound is None or max(r) <= bound)
 
 
 def highest_root(d: DynkinDiagram) -> RootVector:

@@ -282,7 +282,15 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by the brute-force oracle alone, not on every command
-    p = run_python("-c", "import sys, adebps.cli; print('numpy' in sys.modules)")
+    # adebps has no runtime dependencies: neither the import nor the full verify, oracle included, loads numpy
+    code = (
+        "import sys, adebps.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "code = adebps.cli.main(['verify'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    p = run_python("-c", code)
     assert p.returncode == 0, p.stderr
-    assert p.stdout == "False\n"
+    lines = p.stdout.splitlines()
+    assert lines[0] == "False" and "15/15 checks passed" in p.stdout
+    assert lines[-1] == "0 False"
