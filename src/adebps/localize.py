@@ -200,7 +200,11 @@ def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: 
 
 
 def _contribution(p: YPoint, s: Quotient) -> Quotient:
-    """ch_p^dual * ch_p / (e(N)/td) = E_p^dual * S_p^dual * S_p, from S_p."""
+    """ch_p^dual * ch_p / (e(N)/td) = E_p^dual * S_p^dual * S_p, from S_p.
+
+    Each factor 1 - mu^w of E_p^dual cancels a power of 1 - mu^|w| in the
+    denominator of S_p^dual * S_p where there is one.
+    """
     return times_expfactors(s.dual() * s, p.weights) if s else s
 
 

@@ -11,11 +11,14 @@ sign and monomial move into the numerator.  Summands multiply by adding
 exponents and add through ``quotient_sum``: it takes the largest
 exponent of each factor over all summands first, then lifts each
 numerator to that common denominator exactly once, so a long sum never
-re-lifts a growing accumulator.  No gcd is ever taken.  A factor known
-to cancel is never multiplied in only to be divided back out:
-localization keeps each threefold point's Euler factor out of its
-residue sum and applies it afterwards, two terms at a time, with
-``times_expfactors``.
+re-lifts a growing accumulator.  No gcd is ever taken, but a factor
+known to cancel is never multiplied in only to be divided back out:
+``times_expfactors`` cancels each factor 1 - mu^w against a power of
+1 - mu^|w| in the denominator where there is one (for w < 0 the
+numerator takes the sign and the monomial of 1 - mu^w = -mu^w *
+(1 - mu^-w)), and only a factor with no match is multiplied into the
+numerator.  Localization keeps each threefold point's Euler factor out
+of its residue sum and applies it afterwards with ``times_expfactors``.
 
 ``to_polynomial`` certifies a total by exact division: it divides out
 one factor 1 - mu^k at a time with the integer recurrence
@@ -136,6 +139,8 @@ class LaurentPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant hashes like the integer it equals
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __neg__(self) -> "LaurentPoly":
@@ -239,7 +244,7 @@ class Quotient:
     """An integer Laurent numerator over prod_k (1 - mu^k)^e_k with k > 0.
 
     ``den`` maps each k to its exponent e_k > 0.  The form is not unique
-    (no common factor is cancelled), so equality cross-multiplies.
+    (no gcd is taken), so equality cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -352,7 +357,9 @@ def _lift(q: Quotient, den: dict[int, int]) -> dict[int, int]:
     """Numerator of q over the larger denominator ``den``."""
     a = q.num.coeffs
     for k, e in den.items():
-        a = _times_expfactor(a, k, e - q.den.get(k, 0))
+        e -= q.den.get(k, 0)
+        if e:
+            a = _times_expfactor(a, k, e)
     return a
 
 
@@ -379,11 +386,28 @@ def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
 
 
 def times_expfactors(u: Quotient, weights: Iterable[int]) -> Quotient:
-    """u times the product of the factors 1 - mu^w, one two-term pass per factor."""
+    """u times the product of the factors 1 - mu^w, cancelled where it can be.
+
+    A factor whose 1 - mu^|w| the denominator holds takes one from that
+    exponent instead of touching the numerator, except that for w < 0,
+    1 - mu^w = -mu^w * (1 - mu^-w) negates the numerator and shifts it by
+    w.  Only a factor with no match costs a two-term pass.
+    """
     a = u.num.coeffs
+    den = dict(u.den)
     for w in weights:
-        a = _times_expfactor(a, w, 1)
-    return Quotient._raw(a, dict(u.den))
+        k = abs(w)
+        e = den.get(k)
+        if not e:
+            a = _times_expfactor(a, w, 1)
+            continue
+        if e == 1:
+            del den[k]
+        else:
+            den[k] = e - 1
+        if w < 0:
+            a = {v + w: -c for v, c in a.items()}
+    return Quotient._raw(a, den)
 
 
 def to_polynomial(u: Quotient) -> VirtualCharacter:

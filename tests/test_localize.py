@@ -34,6 +34,7 @@ from adebps.symring import (
     VirtualCharacter,
     euler_class,
     expfactors,
+    quotient_sum,
     to_polynomial,
 )
 from adebps.verify import GOLDEN_CH, GOLDEN_CONTRIBUTIONS, GOLDEN_SUMMANDS, REFERENCE_CLASSES
@@ -167,6 +168,20 @@ class TestCharacters:
     def test_reference_totals(self, g, m):
         for cls, total, _, _, _ in REFERENCE_CLASSES:
             assert total_chi(lift(cls, m), g, m) == VirtualCharacter(total)
+
+    def test_cancelled_denominators(self, g, m):
+        # every Euler factor 1 - mu^w cancels a power of 1 - mu^|w| that the
+        # denominator holds, so chi needs a common denominator of degree 21
+        r = localize_class((3, 5, 4, 3), m, g)
+        assert {p: u.den for p, u in r.contributions.items()} == {
+            "P1": {3: 1, 4: 2, 5: 1},
+            "P2": {2: 2, 3: 1},
+            "P3": {2: 2, 3: 1},
+            "P4": {1: 1},
+            "P": {1: 1},
+        }
+        assert quotient_sum(r.contributions.values()).den == {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}
+        assert r.characters["P4"].den == {} and r.characters["P"].den == {}
 
     def test_symmetric_points_for_longest_root(self, g, m, top):
         # all restriction weights of the longest-root lift equal -6, so the

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adebps.symring import (
     EulerClass,
@@ -38,6 +40,11 @@ class TestExpfactor:
 
 
 class TestLaurentPoly:
+    def test_constant_hashes_like_its_integer(self):
+        assert len({1, LaurentPoly.one()}) == 1
+        assert hash(LaurentPoly.zero()) == hash(0)
+        assert hash(poly({0: -7})) == hash(-7) and {poly({0: -7}): 1}[-7] == 1
+
     def test_no_zero_coefficients_stored(self):
         p = poly({2: 1}) - poly({2: 1})
         assert p.coeffs == {}
@@ -281,10 +288,45 @@ def test_quotient_sum_equals_binary_fold():
 
 
 def test_times_expfactors_equals_the_product():
+    # about half the weights are +-(a key of u.den), so factors cancel: the
+    # den loses one power of |w| for each w that still matches, in order
     rng = random.Random(8)
-    for _ in range(200):
+    zeros = 0
+    for _ in range(300):
         u = Quotient(random_poly(rng), random_weights(rng))
-        ws = [rng.randrange(-7, 8) for _ in range(rng.randrange(4))]
+        keys = sorted(u.den)
+        ws = [
+            rng.choice([-1, 1]) * (rng.choice(keys) if keys and rng.random() < 0.5 else rng.randrange(8))
+            for _ in range(rng.randrange(5))
+        ]
         got = times_expfactors(u, ws)
         assert got == u * expfactors(ws)
-        assert got.den == u.den
+        den = dict(u.den)
+        for w in ws:
+            if den.get(abs(w)):
+                den[abs(w)] -= 1
+        assert got.den == {k: e for k, e in den.items() if e}
+        if 0 in ws:
+            zeros += 1
+            assert not got.num
+    assert zeros > 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(-12, 12), st.integers(-4, 4)),
+    st.lists(st.integers(-7, 7).filter(bool), max_size=5),
+    st.lists(st.integers(-7, 7), max_size=5),
+)
+def test_times_expfactors_cancels_the_denominator(coeffs, ws, extra):
+    # a full cancellation gives p back with an empty den, without any
+    # division; no factor ever adds to the degree of the denominator
+    p = LaurentPoly(coeffs)
+    full = times_expfactors(Quotient(p, ws), ws)
+    assert full.den == {} and full.num == p and to_polynomial(full) == p
+
+    def degree(u):
+        return sum(k * e for k, e in u.den.items())
+
+    u = Quotient(p, ws)
+    assert degree(times_expfactors(u, extra)) <= degree(u)
