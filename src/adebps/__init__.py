@@ -13,9 +13,7 @@ from .folding import (
     LiftedDivisor,
     Marking,
     bps_table,
-    corresponds_to_root,
     divisor_labels,
-    euler_characteristic,
     lift,
     parse_marking,
     project,
@@ -31,7 +29,6 @@ from .localize import (
     YPoint,
     bps_from_localization,
     chern_character_at,
-    curve_contribution,
     ext_decompose,
     format_descriptor,
     line_bundle_on_curve,

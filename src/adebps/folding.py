@@ -130,23 +130,6 @@ def lift(cls: CurveClass, m: Marking) -> LiftedDivisor:
     return LiftedDivisor(full_t, tuple(ks), delta, -cartan_pairing(d, full_t, full_t))
 
 
-def corresponds_to_root(cls: CurveClass, m: Marking) -> bool:
-    """True exactly when the class is the white part of some positive root."""
-    return lift(cls, m).self_pairing == -2
-
-
-def euler_characteristic(divisor: tuple[int, ...], m: Marking) -> int:
-    """Arithmetic genus count v^T C v / 2 of an effective nonzero divisor."""
-    d = m.diagram
-    if len(divisor) != d.rank:
-        raise ValueError("divisor length does not match the rank")
-    if any(c < 0 for c in divisor):
-        raise ValueError("divisor must be effective")
-    if not any(divisor):
-        raise ValueError("zero divisor")
-    return cartan_pairing(d, divisor, divisor) // 2
-
-
 # -- marking file format -------------------------------------------------
 #
 # Key/value lines, '#' starts a comment:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift
-from .rootsys import cartan_pairing
 from .symring import (
     EulerClass,
     LaurentPoly,
@@ -124,16 +123,12 @@ def line_bundle_on_curve(
     labels = divisor_labels(m)
     node = _node_of(e.name, labels)
     mult = lft.full[node]
-    degree = cartan_pairing(m.diagram, _unit(m.diagram.rank, node), lft.full)
+    degree = 2 * mult - sum(lft.full[j] for j in m.diagram.neighbors(node))
     candidates = {-mult * inc.weight for inc in e.incidences}
     if len(candidates) > 1:
         raise DescriptorError(f"inconsistent restriction weight on {e.name!r}: {sorted(candidates)}")
     weight = candidates.pop() if candidates else -mult * e.normal_weight
     return weight, degree
-
-
-def _unit(rank: int, i: int) -> tuple[int, ...]:
-    return tuple(int(j == i) for j in range(rank))
 
 
 # Every residue summand over a threefold point p carries the same
@@ -175,14 +170,6 @@ def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: 
     """Residue summand of one isolated surface point, image prefactor included."""
     y = g.y_point(q.image)
     return times_expfactors(_point_residue(lft, q, g, m), _euler_by_todd(y.weights))
-
-
-def curve_contribution(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> Quotient:
-    """Residue summand of a pointwise-fixed curve, pushed down to its image."""
-    if e not in g.s_curves:
-        raise DescriptorError(f"unknown curve {e.name!r}")
-    y = g.y_point(e.image)
-    return times_expfactors(_curve_residue(lft, e, g, m), _euler_by_todd(y.weights))
 
 
 def _residue_sum(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
@@ -229,12 +216,6 @@ class ExtDecomposition:
 
     ext1: VirtualCharacter
     ext2: VirtualCharacter
-    serre_weight: int = 3
-
-    def chi(self) -> VirtualCharacter:
-        one = VirtualCharacter({0: 1})
-        serre = VirtualCharacter({self.serre_weight: 1})
-        return one - self.ext1 + self.ext2 - serre
 
 
 def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposition:
@@ -251,7 +232,7 @@ def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposit
     ext2, ext1 = rest.split()
     if ext1.dim() != ext2.dim():
         raise ValueError(f"dimension mismatch: dim ext1 {ext1.dim()} != dim ext2 {ext2.dim()}")
-    return ExtDecomposition(ext1=ext1, ext2=ext2, serre_weight=serre_weight)
+    return ExtDecomposition(ext1=ext1, ext2=ext2)
 
 
 @dataclass(frozen=True)

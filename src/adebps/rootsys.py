@@ -80,9 +80,6 @@ class DynkinDiagram:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(b if a == i else a for a, b in self.edges if i in (a, b)))
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges or (j, i) in self.edges
-
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """2 on the diagonal, -1 across each edge, 0 elsewhere."""
         m = [[0] * self.rank for _ in range(self.rank)]
@@ -190,7 +187,7 @@ def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
     return list(_positive_roots(d))
 
 
-def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int | None = None) -> list[RootVector]:
+def enumerate_positive_roots_bruteforce(d: DynkinDiagram) -> list[RootVector]:
     """Independent oracle: every v >= 0 with q(v) = v^T C v = 2, by completing squares.
 
     An exact LDL^T of the form built from ``d.edges`` writes q(v) as
@@ -199,8 +196,7 @@ def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int | None = No
     the budget 2, which bounds each v_i to an interval found with ``isqrt``;
     every candidate is checked in ``Fraction``, and a budget ending at 0
     means q(v) = 2 (so v != 0).  No coefficient bound is assumed (Fincke
-    and Pohst, Math. Comp. 44, 1985); ``bound``, if given, only drops roots
-    with a larger coefficient.  Shares no code with the closure.
+    and Pohst, Math. Comp. 44, 1985).  Shares no code with the closure.
     """
     n = d.rank
     form = [[Fraction(2 * (i == j)) for j in range(n)] for i in range(n)]
@@ -231,7 +227,7 @@ def enumerate_positive_roots_bruteforce(d: DynkinDiagram, bound: int | None = No
         v[i] = 0
 
     choose(n - 1, Fraction(2))
-    return sorted(r for r in hits if bound is None or max(r) <= bound)
+    return sorted(hits)
 
 
 def highest_root(d: DynkinDiagram) -> RootVector:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
 
-def render_terms(coeffs: Mapping[int, int], var: str = "mu") -> str:
+def render_terms(coeffs: Mapping[int, int]) -> str:
     """Render sorted by ascending weight with explicit signs, e.g. ``1 - mu^3``."""
     if not coeffs:
         return "0"
@@ -48,9 +48,9 @@ def render_terms(coeffs: Mapping[int, int], var: str = "mu") -> str:
         if w == 0:
             body = str(mag)
         elif mag == 1:
-            body = f"{var}^{w}"
+            body = f"mu^{w}"
         else:
-            body = f"{mag}*{var}^{w}"
+            body = f"{mag}*mu^{w}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

@@ -14,7 +14,13 @@ from itertools import combinations, product
 
 from . import catalog
 from .folding import bps_table, lift, project
-from .localize import localize_class, point_contribution, total_chi, validate_descriptor
+from .localize import (
+    line_bundle_weight_at_point,
+    localize_class,
+    point_contribution,
+    total_chi,
+    validate_descriptor,
+)
 from .rootsys import (
     build_diagram,
     enumerate_positive_roots,
@@ -169,9 +175,11 @@ def _golden_intermediates(m, g) -> str:
     top = localize_class((3, 5, 4, 3), m, g)
     count = 0
     for q in g.s_points:
+        weight = line_bundle_weight_at_point(top.lift, q, g, m)
+        _expect(weight == GOLDEN_POINT_WEIGHTS[q.name], f"restriction weight at {q.name}")
         got = point_contribution(top.lift, q, g, m)
         _expect(got == GOLDEN_SUMMANDS[q.name], f"summand at {q.name}")
-        count += 1
+        count += 2
     for p in g.y_points:
         _expect(top.characters[p.name] == GOLDEN_CH[p.name], f"character at {p.name}")
         _expect(top.contributions[p.name] == GOLDEN_CONTRIBUTIONS[p.name], f"contribution of {p.name}")

@@ -97,3 +97,21 @@ def test_ladder_digests(common):
         if op == "fold" and common.sha(common.table_text(table)) != want["table"][parity]:
             drift.append((op, kind, rank, parity))
     assert drift == []
+
+
+def test_traced_names_resolve():
+    # a name the tracer cannot find reads 0 on its per-layer metric, so a
+    # rename or deletion has to update this list; the imports at the top
+    # load every adebps module the tracer patches
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = adebps.localize.total_chi
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert adebps.localize.total_chi is not original
+    finally:
+        tracer.uninstall()
+    assert sorted(tracer.missing) == ["localize.curve_contribution", "symring.RatFn.new"]
+    assert adebps.localize.total_chi is original

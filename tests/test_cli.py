@@ -244,6 +244,13 @@ class TestVerify:
         assert "FAIL character totals for the four reference classes: (3, 5, 4, 3): chi = 1 - mu^3" in p.stdout
         assert p.stdout.endswith("5/6 checks passed\n")
 
+    def test_golden_check_reads_the_point_weights(self, monkeypatch):
+        from adebps import verify
+
+        monkeypatch.setitem(verify.GOLDEN_POINT_WEIGHTS, "Q1", -9)
+        [golden] = [r for r in verify.run_checks(quick=True) if r.name.startswith("golden")]
+        assert not golden.passed and golden.detail == "restriction weight at Q1"
+
     def test_box_invariants_catch_a_broken_total(self, monkeypatch):
         from adebps import verify
         from adebps.symring import LaurentPoly

@@ -7,9 +7,7 @@ from adebps.catalog import e8_a5_marking
 from adebps.folding import (
     Marking,
     bps_table,
-    corresponds_to_root,
     divisor_labels,
-    euler_characteristic,
     format_marking,
     lift,
     parse_marking,
@@ -203,9 +201,10 @@ class TestLift:
 
 
 class TestCorrespondsToRoot:
+    # a class is the white part of a positive root exactly when its lift has square -2
     def test_reference_classes(self, m):
-        assert corresponds_to_root((3, 5, 4, 3), m)
-        assert corresponds_to_root((1, 1, 1, 1), m)
+        assert lift((3, 5, 4, 3), m).self_pairing == -2
+        assert lift((1, 1, 1, 1), m).self_pairing == -2
 
     def test_matches_table_membership(self, m, table):
         from itertools import product
@@ -214,30 +213,11 @@ class TestCorrespondsToRoot:
         for cls in product(range(4), repeat=4):
             if not any(cls):
                 continue
-            assert corresponds_to_root(cls, m) == (cls in image)
+            assert (lift(cls, m).self_pairing == -2) == (cls in image)
 
     def test_zero_class_rejected(self, m):
         with pytest.raises(ValueError):
-            corresponds_to_root((0, 0, 0, 0), m)
-
-
-class TestEulerCharacteristic:
-    def test_every_root_gives_one(self, m):
-        for root in enumerate_positive_roots(m.diagram):
-            assert euler_characteristic(root, m) == 1
-
-    def test_doubled_highest_root(self, m):
-        h = highest_root(m.diagram)
-        assert euler_characteristic(tuple(2 * c for c in h), m) == 4
-
-    def test_simple_root(self, m):
-        assert euler_characteristic((1, 0, 0, 0, 0, 0, 0, 0), m) == 1
-
-    def test_errors(self, m):
-        with pytest.raises(ValueError):
-            euler_characteristic((0,) * 8, m)
-        with pytest.raises(ValueError):
-            euler_characteristic((1, -1, 0, 0, 0, 0, 0, 0), m)
+            lift((0, 0, 0, 0), m)
 
 
 class TestMarkingFormat:
