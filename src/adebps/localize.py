@@ -15,12 +15,23 @@ a fixed point is minus the sum, over divisors through the point, of
 direction normal to that divisor).  On a pointwise-fixed curve the fiber
 weight is constant, the along-curve direction has weight 0, and the
 restriction degree is minus the intersection number with the curve.
+
+Localization runs in two steps.  Restriction turns the geometry into
+integers: for a class and a threefold point p, the key is p's tangent
+weights, (tangent weights, restriction weight) for each surface point
+over p, and (weight, degree, normal weight, self-intersection) for each
+fixed curve over p.  The residue algebra ``_point_sums`` turns a key
+into p's residue sum and contribution.  It is a pure function of those
+integers, so its memo returns exactly what a fresh computation would,
+and classes that restrict alike at p share the work; every total is
+still certified by exact division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift
 from .symring import (
@@ -34,6 +45,9 @@ from .symring import (
     times_expfactors,
     to_polynomial,
 )
+
+#: distinct point keys kept by the residue memo; one loc-sweep pass needs 111
+_POINT_SUMS_MAXSIZE = 1024
 
 
 class DescriptorError(ValueError):
@@ -99,12 +113,26 @@ def _euler_by_todd(weights) -> tuple[int, ...]:
     return tuple(-w for w in weights)
 
 
+def _weight_at(lft: LiftedDivisor, q: SPoint, labels: dict[str, int]) -> int:
+    return -sum(lft.full[_node_of(inc.divisor, labels)] * inc.weight for inc in q.incidences)
+
+
+def _on_curve(lft: LiftedDivisor, e: SCurve, m: Marking, labels: dict[str, int]) -> tuple[int, int]:
+    node = _node_of(e.name, labels)
+    mult = lft.full[node]
+    degree = 2 * mult - sum(lft.full[j] for j in m.diagram.neighbors(node))
+    candidates = {-mult * inc.weight for inc in e.incidences}
+    if len(candidates) > 1:
+        raise DescriptorError(f"inconsistent restriction weight on {e.name!r}: {sorted(candidates)}")
+    weight = candidates.pop() if candidates else -mult * e.normal_weight
+    return weight, degree
+
+
 def line_bundle_weight_at_point(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> int:
     """Fiber weight of O(-Z) at an isolated fixed point of the surface."""
     if q not in g.s_points:
         raise DescriptorError(f"unknown point {q.name!r}")
-    labels = divisor_labels(m)
-    return -sum(lft.full[_node_of(inc.divisor, labels)] * inc.weight for inc in q.incidences)
+    return _weight_at(lft, q, divisor_labels(m))
 
 
 def line_bundle_on_curve(
@@ -120,15 +148,23 @@ def line_bundle_on_curve(
     """
     if e not in g.s_curves:
         raise DescriptorError(f"unknown curve {e.name!r}")
-    labels = divisor_labels(m)
-    node = _node_of(e.name, labels)
-    mult = lft.full[node]
-    degree = 2 * mult - sum(lft.full[j] for j in m.diagram.neighbors(node))
-    candidates = {-mult * inc.weight for inc in e.incidences}
-    if len(candidates) > 1:
-        raise DescriptorError(f"inconsistent restriction weight on {e.name!r}: {sorted(candidates)}")
-    weight = candidates.pop() if candidates else -mult * e.normal_weight
-    return weight, degree
+    return _on_curve(lft, e, m, divisor_labels(m))
+
+
+def _restriction(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking, labels: dict[str, int]):
+    """The key of p: every integer its residue sum depends on.
+
+    p's tangent weights, (tangent weights, w_q) for each surface point q
+    over p, and (w_e, d_e, n_e, s_e) for each fixed curve e over p.
+    """
+    points = tuple((q.weights, _weight_at(lft, q, labels)) for q in g.s_points if q.image == p.name)
+    curves = []
+    for e in g.s_curves:
+        if e.image == p.name:
+            if e.normal_weight == 0:
+                raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
+            curves.append((*_on_curve(lft, e, m, labels), e.normal_weight, e.self_intersection))
+    return p.weights, points, tuple(curves)
 
 
 # Every residue summand over a threefold point p carries the same
@@ -138,13 +174,12 @@ def line_bundle_on_curve(
 # E_p^dual * S_p^dual * S_p, in which E_p never has to be divided back out.
 
 
-def _point_residue(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
+def _point_residue(w: int, weights: tuple[int, int]) -> Quotient:
     """Residue of one isolated surface point, without its image's prefactor."""
-    w = line_bundle_weight_at_point(lft, q, g, m)
-    return Quotient(expfactor(w), _euler_by_todd(q.weights))
+    return Quotient(expfactor(w), _euler_by_todd(weights))
 
 
-def _curve_residue(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking) -> Quotient:
+def _curve_residue(w: int, d: int, n: int, s: int) -> Quotient:
     """Push-down of a pointwise-fixed curve, without its image's prefactor.
 
     Over the curve, with x its point class (x^2 = 0), the restriction is
@@ -154,11 +189,6 @@ def _curve_residue(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Mark
     self-intersection s.  The push-down is the x-coefficient of
     (A + A'x)(1 + x)/(B + B'x), that is ((A + A')B - AB')/B^2.
     """
-    n = e.normal_weight
-    if n == 0:
-        raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
-    w, d = line_bundle_on_curve(lft, e, g, m)
-    s = e.self_intersection
     a = expfactor(w)
     a1 = LaurentPoly._raw({w: -d} if d else {})
     b = expfactor(-n)
@@ -166,33 +196,33 @@ def _curve_residue(lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Mark
     return Quotient((a + a1) * b - a * b1, (-n, -n))
 
 
+@lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
+def _point_sums(weights, points, curves) -> tuple[Quotient, Quotient]:
+    """(S_p, E_p^dual * S_p^dual * S_p) of a threefold point, from its key.
+
+    Each factor 1 - mu^w of E_p^dual cancels a power of 1 - mu^|w| in the
+    denominator of S_p^dual * S_p where there is one.  Callers share the
+    returned quotients and must not modify them.
+    """
+    terms = [_point_residue(w, tangent) for tangent, w in points]
+    terms += [_curve_residue(*c) for c in curves]
+    if terms:
+        _euler_by_todd(weights)  # a degenerate image point raises
+    s = quotient_sum(terms)
+    return s, times_expfactors(s.dual() * s, weights) if s else s
+
+
 def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Residue summand of one isolated surface point, image prefactor included."""
     y = g.y_point(q.image)
-    return times_expfactors(_point_residue(lft, q, g, m), _euler_by_todd(y.weights))
-
-
-def _residue_sum(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
-    """S_p: the residues of the surface components over p, without E_p."""
-    terms = [_point_residue(lft, q, g, m) for q in g.s_points if q.image == p.name]
-    terms += [_curve_residue(lft, e, g, m) for e in g.s_curves if e.image == p.name]
-    if terms:
-        _euler_by_todd(p.weights)  # a degenerate image point raises
-    return quotient_sum(terms)
+    w = line_bundle_weight_at_point(lft, q, g, m)
+    return times_expfactors(_point_residue(w, q.weights), _euler_by_todd(y.weights))
 
 
 def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    return times_expfactors(_residue_sum(p, lft, g, m), (-w for w in p.weights))
-
-
-def _contribution(p: YPoint, s: Quotient) -> Quotient:
-    """ch_p^dual * ch_p / (e(N)/td) = E_p^dual * S_p^dual * S_p, from S_p.
-
-    Each factor 1 - mu^w of E_p^dual cancels a power of 1 - mu^|w| in the
-    denominator of S_p^dual * S_p where there is one.
-    """
-    return times_expfactors(s.dual() * s, p.weights) if s else s
+    s, _ = _point_sums(*_restriction(p, lft, g, m, divisor_labels(m)))
+    return times_expfactors(s, (-w for w in p.weights))
 
 
 def _certified_sum(contributions) -> VirtualCharacter:
@@ -207,7 +237,8 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    return _certified_sum(_contribution(p, _residue_sum(p, lft, g, m)) for p in g.y_points)
+    labels = divisor_labels(m)
+    return _certified_sum(_point_sums(*_restriction(p, lft, g, m, labels))[1] for p in g.y_points)
 
 
 @dataclass(frozen=True)
@@ -254,15 +285,16 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    sums = [(p, _residue_sum(p, lft, g, m)) for p in g.y_points]
-    contributions = {p.name: _contribution(p, s) for p, s in sums}
+    labels = divisor_labels(m)
+    sums = [(p, _point_sums(*_restriction(p, lft, g, m, labels))) for p in g.y_points]
+    contributions = {p.name: c for p, (_, c) in sums}
     chi = _certified_sum(contributions.values())
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
     e1 = euler_class(ext.ext1)
     e2 = euler_class(ext.ext2)
     if e2.degree != e1.degree:
         raise ValueError("equivariant degrees of the two Euler classes do not cancel")
-    characters = {p.name: times_expfactors(s, (-w for w in p.weights)) for p, s in sums}
+    characters = {p.name: times_expfactors(s, (-w for w in p.weights)) for p, (s, _) in sums}
     n = Fraction(e2.scalar, e1.scalar)
     return LocalizationResult(lft, characters, contributions, chi, ext, e1, e2, n)
 

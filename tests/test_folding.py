@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adebps.catalog import e8_a5_marking
 from adebps.folding import (
@@ -262,3 +264,53 @@ class TestMarkingFormat:
     def test_overriding_input_rejected(self, text, lineno):
         with pytest.raises(ValueError, match=f"line {lineno}:"):
             parse_marking(text)
+
+
+_DIAGRAMS = [("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 9)] + [("E", r) for r in (6, 7, 8)]
+
+
+@st.composite
+def _markings(draw):
+    kind, rank = draw(st.sampled_from(_DIAGRAMS))
+    black = draw(st.sets(st.integers(0, rank - 1), max_size=rank))
+    white = draw(st.permutations([i for i in range(rank) if i not in black]))
+    return Marking(build_diagram(kind, rank), frozenset(black), tuple(white))
+
+
+# Ranks stay small: a marking of rank r builds a diagram with r nodes.
+_MARKING_TOKENS = st.sampled_from([
+    "kind", "rank", "black", "white", "KIND", "A", "D", "E", "F", "e", "0", "1", "3", "4", "6", "8", "-1",
+    "n1", "n2", "n3", "n4", "n8", "n9", "n0", "n01", "n", "nx", "#", "#c",
+])
+
+
+@st.composite
+def _marking_texts(draw):
+    """A valid marking file with up to three lines dropped, repeated or replaced by junk."""
+    lines = format_marking(draw(_markings())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "junk"]))
+        if edit == "junk":
+            lines[i] = " ".join(draw(st.lists(_MARKING_TOKENS, max_size=6)))
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=120), _marking_texts()))
+def test_random_marking_text_raises_only_value_errors(text):
+    try:
+        mk = parse_marking(text)
+    except ValueError:
+        return
+    assert parse_marking(format_marking(mk)) == mk
+
+
+@settings(max_examples=100, deadline=None)
+@given(_markings())
+def test_marking_format_parse_roundtrip(mk):
+    assert parse_marking(format_marking(mk)) == mk

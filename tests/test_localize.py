@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adebps.catalog import e8_a5_descriptor, e8_a5_marking
-from adebps.folding import LiftedDivisor, bps_table, lift
+from adebps.folding import LiftedDivisor, bps_table, divisor_labels, lift
 from adebps.localize import (
     DescriptorError,
     GeometryDescriptor,
@@ -15,6 +15,8 @@ from adebps.localize import (
     SCurve,
     SPoint,
     YPoint,
+    _point_sums,
+    _restriction,
     bps_from_localization,
     chern_character_at,
     ext_decompose,
@@ -507,3 +509,111 @@ def test_degenerate_point_with_nothing_over_it(m, g, top):
     lonely = GeometryDescriptor(g.y_points + (YPoint("P9", (0, 1, 2)),), g.s_points, g.s_curves)
     assert chern_character_at(lonely.y_point("P9"), top, lonely, m) == 0
     assert total_chi(top, lonely, m) == total_chi(top, g, m)
+
+
+# -- the residue memo -----------------------------------------------------------
+
+
+def _outcome(cls, g, m):
+    """The total as text, or the exception it raises."""
+    try:
+        return str(total_chi(lift(cls, m), g, m))
+    except ValueError as exc:  # compared by type and message
+        return repr(exc)
+
+
+def test_point_sums_memo_is_transparent(m, g):
+    # Each +-1 mutant must give the same total or the same error whether
+    # the memo is warm from the base descriptor or empty: a key that left
+    # out an integer the residue sum reads would hand back a stale sum.
+    classes = [rec.cls for rec in bps_table(m)][::4]
+    try:
+        for path, mutant in _int_mutants(g):
+            for cls in classes:
+                total_chi(lift(cls, m), g, m)
+            warm = [_outcome(cls, mutant, m) for cls in classes]
+            cold = []
+            for cls in classes:
+                _point_sums.cache_clear()
+                cold.append(_outcome(cls, mutant, m))
+            assert warm == cold, path
+    finally:
+        _point_sums.cache_clear()
+
+
+def test_cached_sums_are_read_only(m, g):
+    # (3,5,4,3) and (2,5,4,3) restrict alike at P3, P4 and P, so the second
+    # class reads the sums the first one stored.
+    labels = divisor_labels(m)
+    a, b = lift((3, 5, 4, 3), m), lift((2, 5, 4, 3), m)
+    shared = [p.name for p in g.y_points
+              if _restriction(p, a, g, m, labels) == _restriction(p, b, g, m, labels)]
+    assert shared == ["P3", "P4", "P"]
+    _point_sums.cache_clear()
+    first = localize_class((3, 5, 4, 3), m, g)
+    text = str(first)
+    cached = {p.name: str(_point_sums(*_restriction(p, a, g, m, labels))[1]) for p in g.y_points}
+    localize_class((2, 5, 4, 3), m, g)
+    again = localize_class((3, 5, 4, 3), m, g)
+    assert again == first and str(again) == str(first) == text
+    assert {name: str(c) for name, c in first.contributions.items()} == cached
+    _point_sums.cache_clear()
+    fresh = localize_class((3, 5, 4, 3), m, g)
+    assert fresh == first and str(fresh) == text
+    assert {name: str(c) for name, c in fresh.contributions.items()} == cached
+
+
+# -- parser properties ------------------------------------------------------------
+
+_NAMES = st.builds(str.__add__, st.sampled_from("PQEFxy"), st.text("PQEFxy0123'", max_size=3))
+_WEIGHTS = st.integers(-20, 20)
+
+
+def _tuples(elements, **sizes):
+    return st.lists(elements, **sizes).map(tuple)
+
+
+_INCIDENCES = _tuples(st.builds(Incidence, _NAMES, _WEIGHTS), max_size=3)
+_DESCRIPTORS = st.builds(
+    GeometryDescriptor,
+    _tuples(st.builds(YPoint, _NAMES, st.tuples(_WEIGHTS, _WEIGHTS, _WEIGHTS)), min_size=1, max_size=4),
+    _tuples(st.builds(SPoint, _NAMES, st.tuples(_WEIGHTS, _WEIGHTS), _NAMES, _INCIDENCES), max_size=4),
+    _tuples(st.builds(SCurve, _NAMES, _NAMES, _WEIGHTS, _WEIGHTS, _INCIDENCES), max_size=3),
+    _WEIGHTS,
+)
+_DESCRIPTOR_TOKENS = st.sampled_from([
+    "DESCRIPTOR-VERSION", "CANONICAL-WEIGHT", "Y-POINTS", "S-POINTS", "S-CURVES", "y-points",
+    "1", "2", "-3", "0", "x", "P1", "Q1", "F1:2", "E1:-1", "F2:", ":3", "F1:x", "#", "#c",
+])
+
+
+@st.composite
+def _descriptor_texts(draw):
+    """A valid descriptor file with up to three lines dropped, repeated or replaced by junk."""
+    lines = format_descriptor(draw(_DESCRIPTORS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "junk"]))
+        if edit == "junk":
+            lines[i] = " ".join(draw(st.lists(_DESCRIPTOR_TOKENS, max_size=7)))
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(max_size=200), _descriptor_texts()))
+def test_random_descriptor_text_raises_only_descriptor_errors(text):
+    try:
+        g = parse_descriptor(text)
+    except DescriptorError:
+        return
+    assert parse_descriptor(format_descriptor(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DESCRIPTORS)
+def test_descriptor_format_parse_roundtrip(g):
+    assert parse_descriptor(format_descriptor(g)) == g
