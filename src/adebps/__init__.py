@@ -31,11 +31,10 @@ from .localize import (
     chern_character_at,
     ext_decompose,
     format_descriptor,
-    line_bundle_on_curve,
-    line_bundle_weight_at_point,
     localize_class,
     parse_descriptor,
     point_contribution,
+    restriction_weights,
     total_chi,
     validate_descriptor,
 )

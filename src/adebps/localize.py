@@ -16,15 +16,14 @@ direction normal to that divisor).  On a pointwise-fixed curve the fiber
 weight is constant, the along-curve direction has weight 0, and the
 restriction degree is minus the intersection number with the curve.
 
-Localization runs in two steps.  Restriction turns the geometry into
-integers: for a class and a threefold point p, the key is p's tangent
-weights, (tangent weights, restriction weight) for each surface point
-over p, and (weight, degree, normal weight, self-intersection) for each
-fixed curve over p.  The residue algebra ``_point_sums`` turns a key
-into p's residue sum and contribution.  It is a pure function of those
-integers, so its memo returns exactly what a fresh computation would,
-and classes that restrict alike at p share the work; every total is
-still certified by exact division.
+Localization runs in three steps.  ``_resolve`` resolves a descriptor
+against a marking once, with every check that needs no class.  Per class,
+restriction is integer sums over the lift: the key of a threefold point
+p is its tangent weights, (tangent weights, weight) for each surface
+point over p, and (weight, degree, normal weight, self-intersection)
+for each fixed curve over p.  The residue algebra ``_point_sums`` is a
+pure function of the key, so its memo returns exactly what a fresh
+computation would; every total is still certified by exact division.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ from .symring import (
 
 #: distinct point keys kept by the residue memo; one loc-sweep pass needs 111
 _POINT_SUMS_MAXSIZE = 1024
+#: (descriptor, marking) pairs kept resolved; a process usually holds one
+_RESOLVE_MAXSIZE = 8
 
 
 class DescriptorError(ValueError):
@@ -106,65 +107,52 @@ def _node_of(label: str, labels: dict[str, int]) -> int:
         raise DescriptorError(f"unknown divisor label {label!r}") from None
 
 
-def _euler_by_todd(weights) -> tuple[int, ...]:
-    """e(N)/td at a fixed point: one factor 1 - mu^a, a = -w, per tangent weight w."""
-    if 0 in weights:
-        raise DescriptorError("tangent weight 0: degenerate fixed point")
-    return tuple(-w for w in weights)
+@lru_cache(maxsize=_RESOLVE_MAXSIZE)
+def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple[tuple, tuple]]:
+    """Each threefold point with what lies over it, every label a node index.
 
-
-def _weight_at(lft: LiftedDivisor, q: SPoint, labels: dict[str, int]) -> int:
-    return -sum(lft.full[_node_of(inc.divisor, labels)] * inc.weight for inc in q.incidences)
-
-
-def _on_curve(lft: LiftedDivisor, e: SCurve, m: Marking, labels: dict[str, int]) -> tuple[int, int]:
-    node = _node_of(e.name, labels)
-    mult = lft.full[node]
-    degree = 2 * mult - sum(lft.full[j] for j in m.diagram.neighbors(node))
-    candidates = {-mult * inc.weight for inc in e.incidences}
-    if len(candidates) > 1:
-        raise DescriptorError(f"inconsistent restriction weight on {e.name!r}: {sorted(candidates)}")
-    weight = candidates.pop() if candidates else -mult * e.normal_weight
-    return weight, degree
-
-
-def line_bundle_weight_at_point(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> int:
-    """Fiber weight of O(-Z) at an isolated fixed point of the surface."""
-    if q not in g.s_points:
-        raise DescriptorError(f"unknown point {q.name!r}")
-    return _weight_at(lft, q, divisor_labels(m))
-
-
-def line_bundle_on_curve(
-    lft: LiftedDivisor, e: SCurve, g: GeometryDescriptor, m: Marking
-) -> tuple[int, int]:
-    """(fiber weight, degree) of O(-Z) on a pointwise-fixed curve.
-
-    The degree is minus the intersection number with the curve.  The
-    weight follows the same rule as at isolated points, taken at any
-    crossing: the along-curve direction contributes weight 0, so only
-    the curve's own multiplicity times the transverse weight survives.
-    All crossings must agree.
+    A surface point comes with its weight as a linear form in the lift,
+    ((node, coefficient), ...), a fixed curve with the forms of its weight
+    (multiplicity times minus the transverse weight: the along-curve one
+    is 0) and its degree (its Cartan row).  Raises on unknown images and
+    labels, disagreeing crossing weights, normal weight 0, and a
+    degenerate fixed point with something over it.
     """
-    if e not in g.s_curves:
-        raise DescriptorError(f"unknown curve {e.name!r}")
-    return _on_curve(lft, e, m, divisor_labels(m))
-
-
-def _restriction(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking, labels: dict[str, int]):
-    """The key of p: every integer its residue sum depends on.
-
-    p's tangent weights, (tangent weights, w_q) for each surface point q
-    over p, and (w_e, d_e, n_e, s_e) for each fixed curve e over p.
-    """
-    points = tuple((q.weights, _weight_at(lft, q, labels)) for q in g.s_points if q.image == p.name)
-    curves = []
+    labels = divisor_labels(m)
+    if len({p.name for p in g.y_points}) != len(g.y_points):
+        raise DescriptorError("threefold point names are not unique")
+    over: dict[YPoint, tuple[list, list]] = {p: ([], []) for p in g.y_points}
+    for q in g.s_points:
+        form = tuple((_node_of(inc.divisor, labels), -inc.weight) for inc in q.incidences)
+        over[g.y_point(q.image)][0].append((q, form))
     for e in g.s_curves:
-        if e.image == p.name:
-            if e.normal_weight == 0:
-                raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
-            curves.append((*_on_curve(lft, e, m, labels), e.normal_weight, e.self_intersection))
-    return p.weights, points, tuple(curves)
+        node = _node_of(e.name, labels)
+        for inc in e.incidences:
+            _node_of(inc.divisor, labels)
+        crossings = {inc.weight for inc in e.incidences} or {e.normal_weight}
+        if len(crossings) > 1:
+            raise DescriptorError(f"inconsistent crossing weights on {e.name!r}: {sorted(crossings)}")
+        if e.normal_weight == 0:
+            raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
+        degree = ((node, 2), *((j, -1) for j in m.diagram.neighbors(node)))
+        over[g.y_point(e.image)][1].append((e, ((node, -crossings.pop()),), degree))
+    for x in [*g.s_points, *(p for p, (points, curves) in over.items() if points or curves)]:
+        if 0 in x.weights:
+            raise DescriptorError(f"{x.name}: tangent weight 0: degenerate fixed point")
+    return {p: (tuple(points), tuple(curves)) for p, (points, curves) in over.items()}
+
+
+def _pair(full: tuple[int, ...], form) -> int:
+    return sum(full[j] * c for j, c in form)
+
+
+def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict:
+    """Fiber weight w_q of O(-Z) by surface point name, (w_e, d_e) by fixed curve name."""
+    full, out = lft.full, {}
+    for points, curves in _resolve(g, m).values():
+        out.update((q.name, _pair(full, form)) for q, form in points)
+        out.update((e.name, (_pair(full, w), _pair(full, d))) for e, w, d in curves)
+    return out
 
 
 # Every residue summand over a threefold point p carries the same
@@ -176,7 +164,7 @@ def _restriction(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Markin
 
 def _point_residue(w: int, weights: tuple[int, int]) -> Quotient:
     """Residue of one isolated surface point, without its image's prefactor."""
-    return Quotient(expfactor(w), _euler_by_todd(weights))
+    return Quotient(expfactor(w), (-weights[0], -weights[1]))
 
 
 def _curve_residue(w: int, d: int, n: int, s: int) -> Quotient:
@@ -206,23 +194,36 @@ def _point_sums(weights, points, curves) -> tuple[Quotient, Quotient]:
     """
     terms = [_point_residue(w, tangent) for tangent, w in points]
     terms += [_curve_residue(*c) for c in curves]
-    if terms:
-        _euler_by_todd(weights)  # a degenerate image point raises
     s = quotient_sum(terms)
     return s, times_expfactors(s.dual() * s, weights) if s else s
 
 
+def _all_point_sums(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
+    """(p, (S_p, contribution of p)) for each threefold point p, from p's key."""
+    full = lft.full
+    for p, (points, curves) in _resolve(g, m).items():
+        qs = tuple((q.weights, _pair(full, form)) for q, form in points)
+        es = tuple((_pair(full, w), _pair(full, d), e.normal_weight, e.self_intersection)
+                   for e, w, d in curves)
+        yield p, _point_sums(p.weights, qs, es)
+
+
 def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Residue summand of one isolated surface point, image prefactor included."""
-    y = g.y_point(q.image)
-    w = line_bundle_weight_at_point(lft, q, g, m)
-    return times_expfactors(_point_residue(w, q.weights), _euler_by_todd(y.weights))
+    for p, (points, _) in _resolve(g, m).items():
+        for q2, form in points:
+            if q2 == q:
+                residue = _point_residue(_pair(lft.full, form), q.weights)
+                return times_expfactors(residue, (-w for w in p.weights))
+    raise DescriptorError(f"unknown point {q.name!r}")
 
 
 def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    s, _ = _point_sums(*_restriction(p, lft, g, m, divisor_labels(m)))
-    return times_expfactors(s, (-w for w in p.weights))
+    sums = dict(_all_point_sums(lft, g, m))
+    if p not in sums:
+        raise DescriptorError(f"unknown fixed point {p.name!r}")
+    return times_expfactors(sums[p][0], (-w for w in p.weights))
 
 
 def _certified_sum(contributions) -> VirtualCharacter:
@@ -237,8 +238,7 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    labels = divisor_labels(m)
-    return _certified_sum(_point_sums(*_restriction(p, lft, g, m, labels))[1] for p in g.y_points)
+    return _certified_sum(c for _, (_, c) in _all_point_sums(lft, g, m))
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,7 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    labels = divisor_labels(m)
-    sums = [(p, _point_sums(*_restriction(p, lft, g, m, labels))) for p in g.y_points]
+    sums = list(_all_point_sums(lft, g, m))
     contributions = {p.name: c for p, (_, c) in sums}
     chi = _certified_sum(contributions.values())
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)

@@ -15,9 +15,9 @@ from itertools import combinations, product
 from . import catalog
 from .folding import bps_table, lift, project
 from .localize import (
-    line_bundle_weight_at_point,
     localize_class,
     point_contribution,
+    restriction_weights,
     total_chi,
     validate_descriptor,
 )
@@ -173,10 +173,10 @@ def _descriptor_lints(m, g) -> str:
 
 def _golden_intermediates(m, g) -> str:
     top = localize_class((3, 5, 4, 3), m, g)
+    weights = restriction_weights(top.lift, g, m)
     count = 0
     for q in g.s_points:
-        weight = line_bundle_weight_at_point(top.lift, q, g, m)
-        _expect(weight == GOLDEN_POINT_WEIGHTS[q.name], f"restriction weight at {q.name}")
+        _expect(weights[q.name] == GOLDEN_POINT_WEIGHTS[q.name], f"restriction weight at {q.name}")
         got = point_contribution(top.lift, q, g, m)
         _expect(got == GOLDEN_SUMMANDS[q.name], f"summand at {q.name}")
         count += 2

@@ -15,17 +15,17 @@ from adebps.localize import (
     SCurve,
     SPoint,
     YPoint,
+    _all_point_sums,
     _point_sums,
-    _restriction,
+    _resolve,
     bps_from_localization,
     chern_character_at,
     ext_decompose,
     format_descriptor,
-    line_bundle_on_curve,
-    line_bundle_weight_at_point,
     localize_class,
     parse_descriptor,
     point_contribution,
+    restriction_weights,
     total_chi,
     validate_descriptor,
 )
@@ -101,33 +101,59 @@ class TestValidation:
 
 class TestLineBundleData:
     def test_longest_root_point_weights(self, g, m, top):
-        got = {q.name: line_bundle_weight_at_point(top, q, g, m) for q in g.s_points}
-        assert got == GOLDEN_POINT_WEIGHTS
+        assert restriction_weights(top, g, m) == {**GOLDEN_POINT_WEIGHTS, "E3": (-6, 0)}
 
     def test_zero_divisor(self, g, m):
         zero = LiftedDivisor((0,) * 8, (), (), 0)
-        for q in g.s_points:
-            assert line_bundle_weight_at_point(zero, q, g, m) == 0
-        assert line_bundle_on_curve(zero, g.s_curves[0], g, m) == (0, 0)
+        assert restriction_weights(zero, g, m) == {**{q.name: 0 for q in g.s_points}, "E3": (0, 0)}
 
     def test_longest_root_on_curve(self, g, m, top):
-        assert line_bundle_on_curve(top, g.s_curves[0], g, m) == (-6, 0)
+        assert restriction_weights(top, g, m)["E3"] == (-6, 0)
+        # the transverse weight is read at the crossings; the normal weight
+        # stands in only for a curve that nothing crosses
+        e = g.s_curves[0]
+        for curve, want in (
+            (dataclasses.replace(e, incidences=tuple(Incidence(i.divisor, 2) for i in e.incidences)), -12),
+            (dataclasses.replace(e, normal_weight=3, incidences=()), -18),
+        ):
+            broken = GeometryDescriptor(g.y_points, g.s_points, (curve,))
+            assert restriction_weights(top, broken, m)["E3"] == (want, 0)
 
     def test_degree_one_case(self, g, m):
-        lft = lift((1, 2, 2, 1), m)
-        w, d = line_bundle_on_curve(lft, g.s_curves[0], g, m)
-        assert d == 1 and w == -3
+        assert restriction_weights(lift((1, 2, 2, 1), m), g, m)["E3"] == (-3, 1)
 
     def test_inconsistent_crossings_detected(self, g, m, top):
         bad = SCurve("E3", "P", 1, -2, (Incidence("F2", 1), Incidence("F3", 2)))
         broken = GeometryDescriptor(g.y_points, g.s_points, (bad,))
         with pytest.raises(DescriptorError, match="inconsistent"):
-            line_bundle_on_curve(top, bad, broken, m)
+            restriction_weights(top, broken, m)
+        # E3 has multiplicity 0 in the lift of (1,0,0,0): the crossings still disagree
+        assert lift((1, 0, 0, 0), m).full[4] == 0
+        with pytest.raises(DescriptorError, match="inconsistent"):
+            total_chi(lift((1, 0, 0, 0), m), broken, m)
 
     def test_unknown_point_rejected(self, g, m, top):
         stray = SPoint("Qx", (1, 2), "P1", ())
         with pytest.raises(DescriptorError, match="unknown point"):
-            line_bundle_weight_at_point(top, stray, g, m)
+            point_contribution(top, stray, g, m)
+
+    def test_stray_image_raises(self, g, m):
+        # a component whose image names no threefold point must not be dropped
+        stray_point = SPoint("Qx", (2, -1), "P9", ())
+        stray_curve = dataclasses.replace(g.s_curves[0], image="Q")
+        lft = lift((1, 2, 2, 1), m)
+        for broken in (
+            GeometryDescriptor(g.y_points, g.s_points + (stray_point,), g.s_curves),
+            GeometryDescriptor(g.y_points, g.s_points, (stray_curve,)),
+        ):
+            with pytest.raises(DescriptorError, match="unknown fixed point"):
+                validate_descriptor(broken, m)
+            with pytest.raises(DescriptorError, match="unknown fixed point"):
+                total_chi(lft, broken, m)
+            with pytest.raises(DescriptorError, match="unknown fixed point"):
+                localize_class((1, 2, 2, 1), m, broken)
+            with pytest.raises(DescriptorError, match="unknown fixed point"):
+                chern_character_at(broken.y_point("P"), lft, broken, m)
 
 
 class TestPointContributions:
@@ -160,6 +186,12 @@ class TestCurveContribution:
 
 
 class TestCharacters:
+    def test_unknown_threefold_point_rejected(self, g, m, top):
+        # neither a new name nor a known name with other tangent weights is in g
+        for p in (YPoint("P9", (1, 1, 1)), YPoint("P1", (1, 1, 1))):
+            with pytest.raises(DescriptorError, match="unknown fixed point"):
+                chern_character_at(p, top, g, m)
+
     def test_golden_characters(self, g, m, top):
         for p in g.y_points:
             assert chern_character_at(p, top, g, m) == GOLDEN_CH[p.name]
@@ -347,10 +379,16 @@ def test_large_box_totals_certified(cls):
 def _oracle_character(lft, p, g, m, x):
     """ch at the threefold point p, evaluated at x with Fractions only.
 
-    Isolated points use the residue formula directly; a pointwise-fixed
-    curve is pushed down in the ring a + b*x_pt with x_pt^2 = 0, by
-    exact arithmetic on the pairs (a, b).
+    The restriction is read off the descriptor and the lift here: at a
+    surface point, minus the sum of multiplicity times normal weight; on
+    a fixed curve, its multiplicity times minus its first crossing
+    weight, and minus its intersection number with the lift, taken from
+    the Cartan matrix.  Isolated points use the residue formula directly;
+    a pointwise-fixed curve is pushed down in the ring a + b*x_pt with
+    x_pt^2 = 0, by exact arithmetic on the pairs (a, b).
     """
+    node = divisor_labels(m)
+    cartan = m.diagram.cartan_matrix()
 
     def mul(u, v):
         return u[0] * v[0], u[0] * v[1] + u[1] * v[0]
@@ -364,11 +402,13 @@ def _oracle_character(lft, p, g, m, x):
     out = Fraction(0)
     for q in g.s_points:
         if q.image == p.name:
-            w = line_bundle_weight_at_point(lft, q, g, m)
+            w = -sum(lft.full[node[inc.divisor]] * inc.weight for inc in q.incidences)
             out += pref * (1 - x**w) / ((1 - x ** -q.weights[0]) * (1 - x ** -q.weights[1]))
     for e in g.s_curves:
         if e.image == p.name:
-            w, d = line_bundle_on_curve(lft, e, g, m)
+            k = node[e.name]
+            w = -lft.full[k] * (e.incidences[0].weight if e.incidences else e.normal_weight)
+            d = sum(lft.full[j] * cartan[j][k] for j in range(len(lft.full)))
             n, s = e.normal_weight, e.self_intersection
             restriction = (1 - x**w, -d * x**w)
             normal = (1 - x**-n, s * x**-n)
@@ -535,24 +575,25 @@ def test_point_sums_memo_is_transparent(m, g):
             cold = []
             for cls in classes:
                 _point_sums.cache_clear()
+                _resolve.cache_clear()
                 cold.append(_outcome(cls, mutant, m))
             assert warm == cold, path
     finally:
         _point_sums.cache_clear()
+        _resolve.cache_clear()
 
 
 def test_cached_sums_are_read_only(m, g):
     # (3,5,4,3) and (2,5,4,3) restrict alike at P3, P4 and P, so the second
     # class reads the sums the first one stored.
-    labels = divisor_labels(m)
     a, b = lift((3, 5, 4, 3), m), lift((2, 5, 4, 3), m)
-    shared = [p.name for p in g.y_points
-              if _restriction(p, a, g, m, labels) == _restriction(p, b, g, m, labels)]
+    pairs = zip(_all_point_sums(a, g, m), _all_point_sums(b, g, m))
+    shared = [p.name for (p, x), (_, y) in pairs if x is y]
     assert shared == ["P3", "P4", "P"]
     _point_sums.cache_clear()
     first = localize_class((3, 5, 4, 3), m, g)
     text = str(first)
-    cached = {p.name: str(_point_sums(*_restriction(p, a, g, m, labels))[1]) for p in g.y_points}
+    cached = {p.name: str(c) for p, (_, c) in _all_point_sums(a, g, m)}
     localize_class((2, 5, 4, 3), m, g)
     again = localize_class((3, 5, 4, 3), m, g)
     assert again == first and str(again) == str(first) == text
@@ -561,6 +602,20 @@ def test_cached_sums_are_read_only(m, g):
     fresh = localize_class((3, 5, 4, 3), m, g)
     assert fresh == first and str(fresh) == text
     assert {name: str(c) for name, c in fresh.contributions.items()} == cached
+
+
+def test_descriptor_resolved_once(m, g, monkeypatch):
+    # labels are resolved per (descriptor, marking), never per class
+    _resolve.cache_clear()
+    calls = []
+    monkeypatch.setattr("adebps.localize.divisor_labels", lambda mk: calls.append(mk) or divisor_labels(mk))
+    for rec in bps_table(m):
+        lft = lift(rec.cls, m)
+        total_chi(lft, g, m)
+        localize_class(rec.cls, m, g)
+        for p in g.y_points:
+            chern_character_at(p, lft, g, m)
+    assert len(calls) == 1 and _resolve.cache_info().misses == 1
 
 
 # -- parser properties ------------------------------------------------------------
