@@ -23,7 +23,10 @@ p is its tangent weights, (tangent weights, weight) for each surface
 point over p, and (weight, degree, normal weight, self-intersection)
 for each fixed curve over p.  The residue algebra ``_point_sums`` is a
 pure function of the key, so its memo returns exactly what a fresh
-computation would; every total is still certified by exact division.
+computation would.  A class's total is certified over the common
+denominator D of its point contributions: ``_point_split`` memoizes, by
+(key, D), the split N_p = P_p * D + R_p of each contribution, the total
+is the sum of the P_p, and it is integral exactly when the R_p cancel.
 """
 
 from __future__ import annotations
@@ -38,14 +41,17 @@ from .symring import (
     LaurentPoly,
     Quotient,
     VirtualCharacter,
+    common_denominator,
+    divide_with_remainder,
     euler_class,
     expfactor,
     quotient_sum,
     times_expfactors,
-    to_polynomial,
 )
 
-#: distinct point keys kept by the residue memo; one loc-sweep pass needs 111
+#: distinct point keys kept by the residue memo, and (point key, common
+#: denominator) pairs kept by the split memo; one loc-sweep pass needs 111
+#: and about 160
 _POINT_SUMS_MAXSIZE = 1024
 #: (descriptor, marking) pairs kept resolved; a process usually holds one
 _RESOLVE_MAXSIZE = 8
@@ -92,6 +98,19 @@ class GeometryDescriptor:
     s_points: tuple[SPoint, ...]
     s_curves: tuple[SCurve, ...]
     canonical_weight: int = -3
+
+    def __hash__(self) -> int:
+        # every localization call looks the descriptor up in ``_resolve``'s
+        # cache, so the nested tuples are hashed once, not on every call
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.y_points, self.s_points, self.s_curves, self.canonical_weight))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: never pickle the cached one
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def y_point(self, name: str) -> YPoint:
         for y in self.y_points:
@@ -186,26 +205,42 @@ def _curve_residue(w: int, d: int, n: int, s: int) -> Quotient:
 
 @lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
 def _point_sums(weights, points, curves) -> tuple[Quotient, Quotient]:
-    """(S_p, E_p^dual * S_p^dual * S_p) of a threefold point, from its key.
+    """(ch_p, E_p^dual * S_p^dual * S_p) of a threefold point, from its key.
 
-    Each factor 1 - mu^w of E_p^dual cancels a power of 1 - mu^|w| in the
-    denominator of S_p^dual * S_p where there is one.  Callers share the
-    returned quotients and must not modify them.
+    ch_p = E_p * S_p.  Each factor 1 - mu^w of E_p and of E_p^dual cancels
+    a power of 1 - mu^|w| in the denominator where there is one.  Callers
+    share the returned quotients and must not modify them.
     """
     terms = [_point_residue(w, tangent) for tangent, w in points]
     terms += [_curve_residue(*c) for c in curves]
     s = quotient_sum(terms)
-    return s, times_expfactors(s.dual() * s, weights) if s else s
+    ch = times_expfactors(s, (-w for w in weights))
+    return ch, times_expfactors(s.dual() * s, weights) if s else s
 
 
-def _all_point_sums(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
-    """(p, (S_p, contribution of p)) for each threefold point p, from p's key."""
+@lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
+def _point_split(key, den: tuple) -> tuple[LaurentPoly, LaurentPoly]:
+    """(P_p, R_p) with N_p = P_p + R_p / D for the contribution N_p of the point with this key.
+
+    ``den`` is D as sorted (k, e_k) pairs.  Callers share the returned
+    polynomials and must not modify them.
+    """
+    return divide_with_remainder(_point_sums(*key)[1], dict(den))
+
+
+def _point_keys(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
+    """(p, key of p) for each threefold point p: the integers its residue sums read."""
     full = lft.full
     for p, (points, curves) in _resolve(g, m).items():
         qs = tuple((q.weights, _pair(full, form)) for q, form in points)
         es = tuple((_pair(full, w), _pair(full, d), e.normal_weight, e.self_intersection)
                    for e, w, d in curves)
-        yield p, _point_sums(p.weights, qs, es)
+        yield p, (p.weights, qs, es)
+
+
+def _all_point_sums(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
+    """(p, (ch_p, contribution of p)) for each threefold point p, from p's key."""
+    return ((p, _point_sums(*key)) for p, key in _point_keys(lft, g, m))
 
 
 def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
@@ -223,12 +258,27 @@ def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: 
     sums = dict(_all_point_sums(lft, g, m))
     if p not in sums:
         raise DescriptorError(f"unknown fixed point {p.name!r}")
-    return times_expfactors(sums[p][0], (-w for w in p.weights))
+    return sums[p][0]
 
 
-def _certified_sum(contributions) -> VirtualCharacter:
-    """Sum point contributions; ``to_polynomial`` certifies the total is integral."""
-    return to_polynomial(quotient_sum(contributions))
+def _certified_sum(parts) -> VirtualCharacter:
+    """The sum of (point key, contribution) pairs, certified integral.
+
+    Over the common denominator D of the nonzero contributions, each
+    splits as P_p + R_p / D; the total is the sum of the P_p, and D
+    divides the sum of the numerators exactly when the R_p cancel.
+    """
+    parts = [(key, c) for key, c in parts if c]
+    den = tuple(sorted(common_denominator(c for _, c in parts).items()))
+    total: dict[int, int] = {}
+    rest: dict[int, int] = {}
+    for key, _ in parts:
+        for acc, poly in zip((total, rest), _point_split(key, den)):
+            for w, c in poly.coeffs.items():
+                acc[w] = acc.get(w, 0) + c
+    if any(rest.values()):
+        raise ValueError("not a polynomial: the remainders over the common denominator do not cancel")
+    return LaurentPoly._raw({w: c for w, c in total.items() if c})
 
 
 def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualCharacter:
@@ -238,7 +288,7 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    return _certified_sum(c for _, (_, c) in _all_point_sums(lft, g, m))
+    return _certified_sum((key, _point_sums(*key)[1]) for _, key in _point_keys(lft, g, m))
 
 
 @dataclass(frozen=True)
@@ -285,15 +335,15 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    sums = list(_all_point_sums(lft, g, m))
-    contributions = {p.name: c for p, (_, c) in sums}
-    chi = _certified_sum(contributions.values())
+    sums = [(p, key, *_point_sums(*key)) for p, key in _point_keys(lft, g, m)]
+    chi = _certified_sum((key, c) for _, key, _, c in sums)
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
     e1 = euler_class(ext.ext1)
     e2 = euler_class(ext.ext2)
     if e2.degree != e1.degree:
         raise ValueError("equivariant degrees of the two Euler classes do not cancel")
-    characters = {p.name: times_expfactors(s, (-w for w in p.weights)) for p, (s, _) in sums}
+    characters = {p.name: ch for p, _, ch, _ in sums}
+    contributions = {p.name: c for p, _, _, c in sums}
     n = Fraction(e2.scalar, e1.scalar)
     return LocalizationResult(lft, characters, contributions, chi, ext, e1, e2, n)
 

@@ -20,13 +20,17 @@ numerator takes the sign and the monomial of 1 - mu^w = -mu^w *
 numerator.  Localization keeps each threefold point's Euler factor out
 of its residue sum and applies it afterwards with ``times_expfactors``.
 
-``to_polynomial`` certifies a total by exact division: it divides out
-one factor 1 - mu^k at a time with the integer recurrence
-q_i = n_i + q_(i-k), and raises if any remainder is nonzero.  A product
-of such factors divides the numerator exactly when every step divides,
-and every factor has end coefficients +-1, so the quotient is an integer
-Laurent polynomial.  Rationals appear only in ``evaluate`` at a point
-and in the final ratio of Euler classes.  No floating point anywhere.
+Certification is division with remainder.  A denominator
+D = prod (1 - mu^k)^e_k has end coefficients 1 and +-1, so every integer
+Laurent numerator N splits uniquely as N = P * D + R with P and R
+integer Laurent polynomials and R supported in [0, deg D): long division
+clears each weight below 0 with mu^i * D and each weight at or above
+deg D with mu^(i - deg D) * D.  The split is linear in N, so the
+remainder of a sum is the sum of the remainders, and N / D is a Laurent
+polynomial exactly when R = 0.  ``divide_with_remainder`` is that split;
+``to_polynomial`` is the same split with R required to be 0.  Rationals
+appear only in ``evaluate`` at a point and in the final ratio of Euler
+classes.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -278,10 +282,7 @@ class Quotient:
 
     def den_poly(self) -> LaurentPoly:
         """The denominator multiplied out."""
-        a = {0: 1}
-        for k, e in self.den.items():
-            a = _times_expfactor(a, k, e)
-        return LaurentPoly._raw(a)
+        return LaurentPoly._raw(_expand(self.den))
 
     def dual(self) -> "Quotient":
         """mu -> mu^-1, with each 1 - mu^-k turned back into -mu^-k * (1 - mu^k)."""
@@ -353,7 +354,15 @@ def _as_quotient(x) -> Quotient | None:
     return None if p is None else Quotient._raw(p.coeffs, {})
 
 
-def _lift(q: Quotient, den: dict[int, int]) -> dict[int, int]:
+def _expand(den: Mapping[int, int]) -> dict[int, int]:
+    """prod_k (1 - mu^k)^e_k multiplied out."""
+    a = {0: 1}
+    for k, e in den.items():
+        a = _times_expfactor(a, k, e)
+    return a
+
+
+def _lift(q: Quotient, den: Mapping[int, int]) -> dict[int, int]:
     """Numerator of q over the larger denominator ``den``."""
     a = q.num.coeffs
     for k, e in den.items():
@@ -361,6 +370,16 @@ def _lift(q: Quotient, den: dict[int, int]) -> dict[int, int]:
         if e:
             a = _times_expfactor(a, k, e)
     return a
+
+
+def common_denominator(terms: Iterable[Quotient]) -> dict[int, int]:
+    """The largest exponent of each factor 1 - mu^k over the terms."""
+    den: dict[int, int] = {}
+    for t in terms:
+        for k, e in t.den.items():
+            if e > den.get(k, 0):
+                den[k] = e
+    return den
 
 
 def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
@@ -373,11 +392,7 @@ def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
     terms = [t for t in terms if t.num]
     if len(terms) == 1:
         return terms[0]
-    den: dict[int, int] = {}
-    for t in terms:
-        for k, e in t.den.items():
-            if e > den.get(k, 0):
-                den[k] = e
+    den = common_denominator(terms)
     acc: dict[int, int] = {}
     for t in terms:
         for w, c in _lift(t, den).items():
@@ -410,30 +425,42 @@ def times_expfactors(u: Quotient, weights: Iterable[int]) -> Quotient:
     return Quotient._raw(a, den)
 
 
-def to_polynomial(u: Quotient) -> VirtualCharacter:
-    """Certify that u is a Laurent polynomial, by exact division.
+def divide_with_remainder(u: Quotient, den: Mapping[int, int]) -> tuple[LaurentPoly, LaurentPoly]:
+    """(P, R) with u = P + R / D and R supported in [0, deg D), D = prod (1 - mu^k)^e_k.
 
-    Each factor 1 - mu^k is divided out with the recurrence
-    q_i = n_i + q_(i-k); a nonzero remainder raises.  The exactness of
-    the division is not fudged.
+    ``den`` maps k to e_k and must hold every factor of u's denominator
+    at least as often; u's numerator is lifted to D first, so N = P * D + R
+    for that lifted numerator N.  The split is unique and linear in u.
     """
+    if any(e > den.get(k, 0) for k, e in u.den.items()):
+        raise ValueError(f"denominator {dict(den)} does not contain {u.den}")
+    num = _lift(u, den)
+    d = sorted(_expand(den).items())  # d[0] is (0, 1)
+    n, top = d[-1]  # deg D and its coefficient, +-1
+    lo, hi = min(min(num, default=0), 0), max(max(num, default=0), n - 1)
+    a = [0] * (hi - lo + 1)
+    for w, c in num.items():
+        a[w - lo] = c
+    quo: dict[int, int] = {}
+    for i in (*range(lo, 0), *range(hi, n - 1, -1)):
+        c = a[i - lo]
+        if c:  # subtract c * mu^s * D, which clears weight i
+            s, c = (i, c) if i < 0 else (i - n, c * top)
+            quo[s] = c
+            for j, dj in d:
+                a[s + j - lo] -= c * dj
+    rem = {w: a[w - lo] for w in range(n) if a[w - lo]}
+    return LaurentPoly._raw(quo), LaurentPoly._raw(rem)
+
+
+def to_polynomial(u: Quotient) -> VirtualCharacter:
+    """Certify that u is a Laurent polynomial: its remainder over its own denominator is 0."""
     if not isinstance(u, Quotient):
         raise TypeError("Quotient expected")
-    coeffs = u.num.coeffs
-    if not coeffs or not u.den:
-        return u.num
-    lo = min(coeffs)
-    a = [0] * (max(coeffs) - lo + 1)
-    for w, c in coeffs.items():
-        a[w - lo] = c
-    for k, e in sorted(u.den.items()):
-        for _ in range(e):
-            for i in range(k, len(a)):
-                a[i] += a[i - k]
-            if any(a[-k:]):
-                raise ValueError(f"not a polynomial: 1 - mu^{k} does not divide the numerator")
-            del a[-k:]
-    return LaurentPoly._raw({lo + i: c for i, c in enumerate(a) if c})
+    poly, rem = divide_with_remainder(u, u.den)
+    if rem:
+        raise ValueError(f"not a polynomial: remainder {rem} over the denominator")
+    return poly
 
 
 @dataclass(frozen=True)

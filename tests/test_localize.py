@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from adebps.localize import (
     SPoint,
     YPoint,
     _all_point_sums,
+    _point_split,
     _point_sums,
     _resolve,
     bps_from_localization,
@@ -575,11 +577,13 @@ def test_point_sums_memo_is_transparent(m, g):
             cold = []
             for cls in classes:
                 _point_sums.cache_clear()
+                _point_split.cache_clear()
                 _resolve.cache_clear()
                 cold.append(_outcome(cls, mutant, m))
             assert warm == cold, path
     finally:
         _point_sums.cache_clear()
+        _point_split.cache_clear()
         _resolve.cache_clear()
 
 
@@ -594,14 +598,56 @@ def test_cached_sums_are_read_only(m, g):
     first = localize_class((3, 5, 4, 3), m, g)
     text = str(first)
     cached = {p.name: str(c) for p, (_, c) in _all_point_sums(a, g, m)}
+    cached_ch = {p.name: str(ch) for p, (ch, _) in _all_point_sums(a, g, m)}
     localize_class((2, 5, 4, 3), m, g)
     again = localize_class((3, 5, 4, 3), m, g)
     assert again == first and str(again) == str(first) == text
     assert {name: str(c) for name, c in first.contributions.items()} == cached
+    assert {name: str(ch) for name, ch in again.characters.items()} == cached_ch
     _point_sums.cache_clear()
+    _point_split.cache_clear()
     fresh = localize_class((3, 5, 4, 3), m, g)
     assert fresh == first and str(fresh) == text
     assert {name: str(c) for name, c in fresh.contributions.items()} == cached
+    assert {name: str(ch) for name, ch in fresh.characters.items()} == cached_ch
+    assert {p.name: str(chern_character_at(p, a, g, m)) for p in g.y_points} == cached_ch
+
+
+def test_remainders_that_do_not_cancel_raise(m, g):
+    # moving the normal weight of the fixed curve E3 from 1 to 2 passes the
+    # validator, but the point contributions no longer add up to a Laurent
+    # polynomial: only the remainder certificate catches it, warm or cold
+    e3 = g.s_curves[0]
+    assert (e3.name, e3.normal_weight) == ("E3", 1)
+    bent = dataclasses.replace(g, s_curves=(dataclasses.replace(e3, normal_weight=2), *g.s_curves[1:]))
+    assert validate_descriptor(bent, m) == []
+    top = lift((3, 5, 4, 3), m)
+    total_chi(top, g, m)
+    for clear in (False, True):
+        if clear:
+            _point_sums.cache_clear()
+            _point_split.cache_clear()
+        with pytest.raises(ValueError, match="not a polynomial"):
+            total_chi(top, bent, m)
+        with pytest.raises(ValueError, match="not a polynomial"):
+            localize_class((3, 5, 4, 3), m, bent)
+    # the exact sum of the same contributions agrees: it is not a polynomial
+    total = quotient_sum(c for _, (_, c) in _all_point_sums(top, bent, m))
+    with pytest.raises(ValueError, match="not a polynomial"):
+        to_polynomial(total)
+
+
+def test_equal_descriptors_hash_alike(m, g):
+    # the hash is cached on the descriptor (the first hash(g) stores it, the
+    # second reads it back); equality stays structural
+    copies = [parse_descriptor(format_descriptor(g)), dataclasses.replace(g), pickle.loads(pickle.dumps(g))]
+    for h in (hash(g), hash(g)):
+        for other in copies:
+            assert other == g and other is not g and hash(other) == h
+    assert "_hash" not in pickle.loads(pickle.dumps(g)).__dict__
+    bent = dataclasses.replace(g, canonical_weight=-2)
+    assert bent != g and hash(bent) != hash(g)
+    assert _resolve(copies[0], m) is _resolve(g, m)
 
 
 def test_descriptor_resolved_once(m, g, monkeypatch):

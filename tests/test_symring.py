@@ -10,6 +10,7 @@ from adebps.symring import (
     LaurentPoly,
     Quotient,
     VirtualCharacter,
+    divide_with_remainder,
     euler_class,
     expfactor,
     expfactors,
@@ -149,6 +150,42 @@ class TestToPolynomial:
             assert to_polynomial(Quotient(p)) == p
             ks = [rng.choice([-1, 1]) * rng.randrange(1, 7) for _ in range(rng.randrange(4))]
             assert to_polynomial(Quotient(p * expfactors(ks), ks)) == p
+
+
+_LAURENT = st.dictionaries(st.integers(-15, 30), st.integers(-6, 6), max_size=8).map(LaurentPoly)
+_DENOMINATORS = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAURENT, _LAURENT, _DENOMINATORS, st.integers(-3, 3))
+def test_division_with_remainder(n, n2, den, scale):
+    # N = P * D + R with R in [0, deg D), linear in N; R = 0 iff to_polynomial accepts N / D
+    u = Quotient._raw(n.coeffs, den)
+    d = u.den_poly()
+    p, r = divide_with_remainder(u, den)
+    assert p * d + r == n
+    assert all(0 <= w < sum(k * e for k, e in den.items()) for w in r.coeffs)
+    p2, r2 = divide_with_remainder(Quotient._raw(n2.coeffs, den), den)
+    p3, r3 = divide_with_remainder(Quotient._raw((scale * n + n2).coeffs, den), den)
+    assert (p3, r3) == (scale * p + p2, scale * r + r2)
+    if r:
+        with pytest.raises(ValueError, match="not a polynomial"):
+            to_polynomial(u)
+    else:
+        assert to_polynomial(u) == p
+    assert to_polynomial(Quotient._raw((n2 * d).coeffs, den)) == n2
+    # unique: a numerator built as P * D + R, R in range, splits back into P and R
+    assert divide_with_remainder(Quotient._raw((n2 * d + r2).coeffs, den), den) == (n2, r2)
+    # a quotient over a smaller denominator is lifted to D first
+    smaller = {k: e - 1 for k, e in den.items() if e > 1}
+    pv, rv = divide_with_remainder(Quotient._raw(n.coeffs, smaller), den)
+    assert pv * d + rv == n * to_polynomial(Quotient._raw(d.coeffs, smaller))
+
+
+def test_division_needs_the_denominator_of_u():
+    with pytest.raises(ValueError, match="does not contain"):
+        divide_with_remainder(Quotient(1, (2, 2)), {2: 1})
+    assert divide_with_remainder(Quotient(), {}) == (0, 0)
 
 
 class TestDualize:
