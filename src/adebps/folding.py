@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .rootsys import (
     DynkinDiagram,
@@ -83,12 +84,13 @@ def bps_table(m: Marking) -> list[BPSRecord]:
     The closure yields only positive roots, so each white part is taken
     directly, without :func:`project`'s check that its argument is a root.
     """
-    white_order = m.white_order
-    fibers: Counter[CurveClass] = Counter()
-    for root in enumerate_positive_roots(m.diagram):
-        cls = tuple(root[i] for i in white_order)
-        if any(cls):
-            fibers[cls] += 1
+    order = m.white_order
+    if len(order) > 1:
+        white = itemgetter(*order)
+    else:  # itemgetter of one index returns a scalar, so one or no white nodes read a slice
+        white = itemgetter(slice(order[0], order[0] + 1) if order else slice(0))
+    fibers = Counter(map(white, enumerate_positive_roots(m.diagram)))
+    fibers.pop((0,) * len(order), None)
     return [BPSRecord(cls, n, Fraction(n, 2)) for cls, n in sorted(fibers.items())]
 
 

@@ -255,10 +255,10 @@ def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: 
 
 def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    sums = dict(_all_point_sums(lft, g, m))
-    if p not in sums:
-        raise DescriptorError(f"unknown fixed point {p.name!r}")
-    return sums[p][0]
+    for q, key in _point_keys(lft, g, m):
+        if q == p:
+            return _point_sums(*key)[0]
+    raise DescriptorError(f"unknown fixed point {p.name!r}")
 
 
 def _certified_sum(parts) -> VirtualCharacter:

@@ -2,9 +2,10 @@
 
 Positive roots are enumerated twice, by code that shares nothing: a
 closure under adding simple roots, and an exact square-completion oracle
-that ``verify`` compares it with.  All vectors are positional integer
-tuples over the fixed node order n1..n_rank, so values stay comparable
-across modules and files.
+that ``verify`` compares it with; the closure runs on packed integers and
+the oracle on an LDL^T scaled once to integers.  All vectors returned are
+positional integer tuples over the fixed node order n1..n_rank, so values
+stay comparable across modules and files.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt
+from math import isqrt, lcm
 
 RootVector = tuple[int, ...]
 
@@ -51,6 +52,7 @@ class DynkinDiagram:
             deg[j] += 1
             adj[i].append(j)
             adj[j].append(i)
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
         if len(self.edges) != r - 1:
             raise ValueError("a Dynkin diagram is a tree: need rank-1 edges")
         reached = {0}
@@ -78,7 +80,7 @@ class DynkinDiagram:
                 raise ValueError(f"branch arms of {sorted(arms)} nodes are not of ADE shape")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == i else a for a, b in self.edges if i in (a, b)))
+        return self._adj[i]
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """2 on the diagonal, -1 across each edge, 0 elsewhere."""
@@ -149,40 +151,47 @@ def is_positive_root(d: DynkinDiagram, v: RootVector) -> bool:
 
 @lru_cache(maxsize=None)
 def _positive_roots(d: DynkinDiagram) -> tuple[RootVector, ...]:
-    # Closure under adding simple roots.  For a root v,
-    # q(v + e_k) = q(v) + 2(Cv)_k + 2, so v + e_k is a root exactly when
-    # (Cv)_k = -1 (simply laced), and C(v + e_k) = Cv + column k.  Every
-    # positive root is reachable from a simple root this way.
+    # Closure under adding simple roots: q(v + e_k) = q(v) + 2(Cv)_k + 2, so
+    # v + e_k is a root exactly when (Cv)_k = -1 (simply laced), and every
+    # positive root is reachable from a simple root this way.  A byte holds
+    # any ADE coefficient (at most 6) and any (Cv)_k + 1 (0 to 3); a step
+    # that would take an entry of Cv below -1 raises in the bytearray.
     rank = d.rank
     nbrs = [d.neighbors(k) for k in range(rank)]
-    cartan = d.cartan_matrix()
-    frontier = [(tuple(int(i == k) for i in range(rank)), cartan[k]) for k in range(rank)]
-    found: set[RootVector] = {v for v, _ in frontier}
+    step = [1 << 8 * (rank - 1 - k) for k in range(rank)]
+    frontier = []
+    for k in range(rank):  # each simple root e_k with column k of C, plus 1
+        col = bytearray(b"\x01" * rank)
+        col[k] = 3
+        for j in nbrs[k]:
+            col[j] = 0
+        frontier.append((step[k], bytes(col)))
+    found = set(step)
     while frontier:
         v, cv = frontier.pop()
-        for k, c in enumerate(cv):
-            if c != -1:
-                continue
-            u = v[:k] + (v[k] + 1,) + v[k + 1:]
-            if u in found:
-                continue
-            cu = list(cv)
-            cu[k] += 2
-            for j in nbrs[k]:
-                cu[j] -= 1
-            found.add(u)
-            frontier.append((u, tuple(cu)))
-    return tuple(sorted(found))
+        k = cv.find(0)
+        while k >= 0:
+            u = v + step[k]
+            if u not in found:
+                cu = bytearray(cv)
+                cu[k] = 2
+                for j in nbrs[k]:
+                    cu[j] -= 1
+                found.add(u)
+                frontier.append((u, bytes(cu)))
+            k = cv.find(0, k + 1)
+    return tuple(tuple(v.to_bytes(rank, "big")) for v in sorted(found))
 
 
 def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
     """All v >= 0 with v^T C v = 2, sorted lexicographically.
 
-    Computed once per diagram by a closure in which every root carries its
-    Cartan vector Cv: a root v extends to the root v + e_k exactly when
-    (Cv)_k = -1, and C(v + e_k) differs from Cv only at k and the
-    neighbours of k, so each candidate is an O(1) test and no step calls
-    :func:`cartan_pairing`.
+    Computed once per diagram by a closure over packed roots: each root is
+    one integer with a byte per node, n1 most significant, and carries
+    Cv + 1 as bytes.  v extends to the root v + e_k exactly at the zero
+    bytes, (Cv)_k = -1, which ``bytes.find`` locates; C(v + e_k) differs
+    from Cv only at k and the neighbours of k, so no step calls
+    :func:`cartan_pairing`, and numeric order is lexicographic order.
     """
     return list(_positive_roots(d))
 
@@ -190,43 +199,45 @@ def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
 def enumerate_positive_roots_bruteforce(d: DynkinDiagram) -> list[RootVector]:
     """Independent oracle: every v >= 0 with q(v) = v^T C v = 2, by completing squares.
 
-    An exact LDL^T of the form built from ``d.edges`` writes q(v) as
-    sum_i p_i (v_i + sum_(j>i) l_ji v_j)^2 with pivots p_i > 0.  Choosing
-    v_rank, ..., v_1 in turn, each square may take at most what is left of
-    the budget 2, which bounds each v_i to an interval found with ``isqrt``;
-    every candidate is checked in ``Fraction``, and a budget ending at 0
+    An exact LDL^T of the Cartan form writes q(v) as
+    sum_i p_i (v_i + sum_(j>i) l_ji v_j)^2 with pivots p_i > 0; scaled by
+    P L^2, with L and P the lcm of the denominators of the l_ji and the p_i,
+    every term is an integer.  Choosing v_rank, ..., v_1 in turn, each
+    square may take at most what is left of the budget 2 P L^2, which bounds
+    each v_i to an interval found with ``isqrt``; a budget ending at 0
     means q(v) = 2 (so v != 0).  No coefficient bound is assumed (Fincke
     and Pohst, Math. Comp. 44, 1985).  Shares no code with the closure.
     """
     n = d.rank
-    form = [[Fraction(2 * (i == j)) for j in range(n)] for i in range(n)]
-    for i, j in d.edges:
-        form[i][j] = form[j][i] = Fraction(-1)
+    form = [[Fraction(c) for c in row] for row in d.cartan_matrix()]
     pivot: list[Fraction] = []
     low = [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
         pivot.append(form[k][k] - sum(low[k][j] ** 2 * pivot[j] for j in range(k)))
         for i in range(k + 1, n):
             low[i][k] = (form[i][k] - sum(low[i][j] * low[k][j] * pivot[j] for j in range(k))) / pivot[k]
+    scale_low = lcm(*(x.denominator for row in low for x in row))
+    scale_pivot = lcm(*(p.denominator for p in pivot))
+    lo = [[int(x * scale_low) for x in row] for row in low]
+    pv = [int(p * scale_pivot) for p in pivot]
     v = [0] * n
     hits: list[RootVector] = []
 
-    def choose(i: int, budget: Fraction) -> None:
+    def choose(i: int, budget: int) -> None:
         if i < 0:
             if budget == 0:
                 hits.append(tuple(v))
             return
-        # p_i (x + shift)^2 <= budget bounds |x + shift| by sqrt(budget / p_i) < reach + 1
-        shift = sum(low[j][i] * v[j] for j in range(i + 1, n))
-        reach = isqrt(floor(budget / pivot[i]))
-        for x in range(max(0, floor(-shift) - reach), ceil(-shift) + reach + 1):
-            rest = budget - pivot[i] * (x + shift) ** 2
+        # pv_i (L x + s)^2 <= budget, with s = L * shift, exactly when |L x + s| <= r
+        s = sum(lo[j][i] * v[j] for j in range(i + 1, n))
+        r = isqrt(budget // pv[i])
+        for x in range(max(0, -((r + s) // scale_low)), (r - s) // scale_low + 1):
+            rest = budget - pv[i] * (scale_low * x + s) ** 2
             if rest >= 0:
                 v[i] = x
                 choose(i - 1, rest)
-        v[i] = 0
 
-    choose(n - 1, Fraction(2))
+    choose(n - 1, 2 * scale_pivot * scale_low**2)
     return sorted(hits)
 
 

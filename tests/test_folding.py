@@ -314,3 +314,51 @@ def test_random_marking_text_raises_only_value_errors(text):
 @given(_markings())
 def test_marking_format_parse_roundtrip(mk):
     assert parse_marking(format_marking(mk)) == mk
+
+
+def _naive_fold(m):
+    """bps_table as (class, fiber count, invariant) triples, one root at a time."""
+    fibers = Counter()
+    for root in enumerate_positive_roots(m.diagram):
+        cls = tuple(root[i] for i in m.white_order)
+        if any(cls):
+            fibers[cls] += 1
+    return [(cls, n, Fraction(n, 2)) for cls, n in sorted(fibers.items())]
+
+
+_FOLD_DIAGRAMS = [("A", r) for r in range(1, 21)] + [("D", r) for r in range(4, 17)] + [("E", r) for r in (6, 7, 8)]
+
+
+@st.composite
+def _fold_markings(draw):
+    """Any partition of the nodes, often with zero or one white node; black may be adjacent."""
+    kind, rank = draw(st.sampled_from(_FOLD_DIAGRAMS))
+    nodes = draw(st.permutations(range(rank)))
+    n_white = draw(st.one_of(st.integers(0, min(1, rank)), st.integers(0, rank)))
+    return Marking(build_diagram(kind, rank), frozenset(nodes[n_white:]), tuple(nodes[:n_white]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fold_markings())
+def test_bps_table_equals_naive_fold(mk):
+    assert [(r.cls, r.fiber_count, r.invariant) for r in bps_table(mk)] == _naive_fold(mk)
+
+
+@pytest.mark.parametrize(
+    "kind,rank,black,white",
+    [
+        ("A", 1, {0}, ()),
+        ("E", 8, set(range(8)), ()),
+        ("D", 5, {0, 1, 3, 4}, (2,)),
+        ("E", 7, {0, 1, 2, 3, 4, 5}, (6,)),
+        ("D", 6, {0, 1, 2}, (5, 3, 4)),
+    ],
+    ids=["A1-no-white", "E8-no-white", "D5-one-white", "E7-one-white", "D6-adjacent-black"],
+)
+def test_bps_table_short_white_orders(kind, rank, black, white):
+    mk = Marking(build_diagram(kind, rank), frozenset(black), white)
+    table = bps_table(mk)
+    assert [(r.cls, r.fiber_count, r.invariant) for r in table] == _naive_fold(mk)
+    assert all(type(r.cls) is tuple and len(r.cls) == len(white) for r in table)
+    if not white:
+        assert table == []

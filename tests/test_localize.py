@@ -17,6 +17,7 @@ from adebps.localize import (
     SPoint,
     YPoint,
     _all_point_sums,
+    _point_keys,
     _point_split,
     _point_sums,
     _resolve,
@@ -611,6 +612,26 @@ def test_cached_sums_are_read_only(m, g):
     assert {name: str(c) for name, c in fresh.contributions.items()} == cached
     assert {name: str(ch) for name, ch in fresh.characters.items()} == cached_ch
     assert {p.name: str(chern_character_at(p, a, g, m)) for p in g.y_points} == cached_ch
+
+
+def test_character_at_one_point_reads_one_point(m, g):
+    # chern_character_at keys and sums only the point asked for, cold or warm,
+    # and agrees with the record's character there
+    for cls in ((3, 5, 4, 3), (0, 1, 0, 0), (1, 2, 2, 1)):
+        lft = lift(cls, m)
+        record = localize_class(cls, m, g)
+        for p in g.y_points:
+            _point_sums.cache_clear()
+            cold = chern_character_at(p, lft, g, m)
+            assert _point_sums.cache_info().misses == 1
+            assert cold == record.characters[p.name] == chern_character_at(p, lft, g, m)
+            localize_class(cls, m, g)
+            warm = chern_character_at(p, lft, g, m)
+            assert warm is _point_sums(*dict(_point_keys(lft, g, m))[p])[0]
+            assert warm == record.characters[p.name]
+        for p in (YPoint("P9", (1, 1, 1)), YPoint("P1", (1, 1, 1))):
+            with pytest.raises(DescriptorError, match="unknown fixed point"):
+                chern_character_at(p, lft, g, m)
 
 
 def test_remainders_that_do_not_cancel_raise(m, g):

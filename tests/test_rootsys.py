@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adebps.rootsys import (
     DynkinDiagram,
@@ -144,6 +146,37 @@ def test_closure_equals_bruteforce_relabeled(kind):
         got = enumerate_positive_roots(d)
         assert got == enumerate_positive_roots_bruteforce(d)
         assert {tuple(r[perm[i]] for i in range(8)) for r in got} == roots
+
+
+#: A1-A20, D4-D16 and E6-E8, with the number of positive roots of each
+ADE_COUNTS = (
+    [("A", n, n * (n + 1) // 2) for n in range(1, 21)]
+    + [("D", n, n * (n - 1)) for n in range(4, 17)]
+    + [("E", 6, 36), ("E", 7, 63), ("E", 8, 120)]
+)
+
+
+@st.composite
+def _relabeled_trees(draw):
+    """(root count, diagram): an ADE tree with its nodes permuted and its edges reordered and reoriented."""
+    kind, rank, count = draw(st.sampled_from(ADE_COUNTS))
+    perm = draw(st.permutations(range(rank)))
+    edges = []
+    for i, j in build_diagram(kind, rank).edges:
+        edges.append((perm[j], perm[i]) if draw(st.booleans()) else (perm[i], perm[j]))
+    return count, DynkinDiagram(kind, rank, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_relabeled_trees())
+def test_closure_on_relabeled_trees(tree):
+    count, d = tree
+    roots = enumerate_positive_roots(d)
+    assert roots == sorted(set(roots))
+    assert all(is_positive_root(d, v) for v in roots)
+    assert len(roots) == count
+    if d.rank <= 12:
+        assert roots == enumerate_positive_roots_bruteforce(d)
 
 
 class TestBruteforceBound:
