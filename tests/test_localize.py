@@ -615,7 +615,7 @@ def test_cached_sums_are_read_only(m, g):
 
 
 def test_character_at_one_point_reads_one_point(m, g):
-    # chern_character_at keys and sums only the point asked for, cold or warm,
+    # chern_character_at sums only the point asked for, cold or warm,
     # and agrees with the record's character there
     for cls in ((3, 5, 4, 3), (0, 1, 0, 0), (1, 2, 2, 1)):
         lft = lift(cls, m)
