@@ -17,9 +17,13 @@ character totals; the verification suite checks each one.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .folding import Marking
-from .localize import GeometryDescriptor, Incidence, SCurve, SPoint, YPoint
 from .rootsys import build_diagram
+
+if TYPE_CHECKING:
+    from .localize import GeometryDescriptor
 
 
 def e8_a5_marking() -> Marking:
@@ -31,6 +35,9 @@ def e8_a5_marking() -> Marking:
 
 
 def e8_a5_descriptor() -> GeometryDescriptor:
+    # imported here, so that a marking alone never loads the localization engine
+    from .localize import GeometryDescriptor, Incidence, SCurve, SPoint, YPoint
+
     return GeometryDescriptor(
         y_points=(
             YPoint("P1", (5, 1, -3)),
@@ -63,9 +70,18 @@ def e8_a5_descriptor() -> GeometryDescriptor:
 CASES = {"e8-a5": (e8_a5_marking, e8_a5_descriptor)}
 
 
-def load_case(name: str) -> tuple[Marking, GeometryDescriptor]:
+def _case(name: str):
     try:
-        mk, ds = CASES[name]
+        return CASES[name]
     except KeyError:
         raise ValueError(f"unknown case {name!r}; known cases: {', '.join(sorted(CASES))}") from None
+
+
+def load_marking(name: str) -> Marking:
+    """The marking of a built-in case, without building its descriptor."""
+    return _case(name)[0]()
+
+
+def load_case(name: str) -> tuple[Marking, GeometryDescriptor]:
+    mk, ds = _case(name)
     return mk(), ds()

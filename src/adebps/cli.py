@@ -2,33 +2,29 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All output is deterministic; exact rationals print as p/q.
+Each command imports the modules it runs, and json and csv only where it
+prints them, so a short command does not load the whole package.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import catalog
-from .folding import Marking, bps_table, parse_marking
-from .localize import (
-    DescriptorError,
-    GeometryDescriptor,
-    format_descriptor,
-    localize_class,
-    parse_descriptor,
-    validate_descriptor,
-)
-from .rootsys import build_diagram, enumerate_positive_roots
-from .verify import run_checks
+if TYPE_CHECKING:
+    from .folding import Marking
+    from .localize import GeometryDescriptor
 
 
 def _load_marking(args) -> Marking:
     if args.case:
-        return catalog.load_case(args.case)[0]
+        from .catalog import load_marking
+
+        return load_marking(args.case)
+    from .folding import parse_marking
+
     with open(args.marking, encoding="utf-8") as fh:
         return parse_marking(fh.read())
 
@@ -37,9 +33,13 @@ def _load_geometry(args) -> tuple[Marking, GeometryDescriptor]:
     if args.case:
         if args.marking or args.descriptor:
             raise ValueError("--case cannot be combined with --marking or --descriptor")
-        return catalog.load_case(args.case)
+        from .catalog import load_case
+
+        return load_case(args.case)
     if not (args.marking and args.descriptor):
         raise ValueError("need --case, or both --marking and --descriptor")
+    from .localize import parse_descriptor, validate_descriptor
+
     m = _load_marking(args)
     with open(args.descriptor, encoding="utf-8") as fh:
         g = parse_descriptor(fh.read())
@@ -57,12 +57,18 @@ def _parse_class(text: str) -> tuple[int, ...]:
 
 
 def cmd_roots(args) -> int:
+    from .rootsys import build_diagram, enumerate_positive_roots
+
     d = build_diagram(args.kind, args.rank)
     roots = enumerate_positive_roots(d)
     if args.format == "json":
+        import json
+
         print(json.dumps({"kind": d.kind, "rank": d.rank, "count": len(roots),
                           "roots": [list(r) for r in roots]}))
     elif args.format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(d.node_names())
@@ -76,11 +82,16 @@ def cmd_roots(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .folding import bps_table
+    from .rootsys import enumerate_positive_roots
+
     m = _load_marking(args)
     table = bps_table(m)
     mapped = sum(r.fiber_count for r in table)
     dropped = len(enumerate_positive_roots(m.diagram)) - mapped
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "kind": m.diagram.kind,
             "rank": m.diagram.rank,
@@ -90,6 +101,8 @@ def cmd_table(args) -> int:
             "roots_dropped": dropped,
         }))
     elif args.format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["class", "fibers", "n"])
@@ -105,6 +118,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    from .localize import localize_class
+
     m, g = _load_geometry(args)
     cls = _parse_class(args.cls)
     r = localize_class(cls, m, g)
@@ -113,6 +128,8 @@ def cmd_localize(args) -> int:
             ("e(ext1)", "euler_ext1", r.euler_ext1), ("e(ext2)", "euler_ext2", r.euler_ext2),
             ("n", "n", r.n))
     if args.format == "json":
+        import json
+
         print(json.dumps({"class": list(cls), **{key: str(value) for _, key, value in rows}}))
     else:
         print(f"class = {args.cls}")
@@ -122,6 +139,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(args.case, quick=args.quick)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -133,7 +152,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_descriptor(args) -> int:
-    _, g = catalog.load_case(args.case)
+    from .catalog import load_case
+    from .localize import format_descriptor
+
+    _, g = load_case(args.case)
     sys.stdout.write(format_descriptor(g))
     return 0
 
@@ -183,7 +205,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DescriptorError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DescriptorError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,12 @@ from pathlib import Path
 import pytest
 
 import adebps
+import adebps.catalog
+import adebps.folding
+import adebps.localize
+import adebps.rootsys
+import adebps.symring
+import adebps.verify
 from adebps.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -102,7 +108,8 @@ def test_ladder_digests(common):
 def test_traced_names_resolve():
     # a name the tracer cannot find reads 0 on its per-layer metric, so a
     # rename or deletion has to update this list; the imports at the top
-    # load every adebps module the tracer patches
+    # load every adebps module the tracer patches, since the package loads
+    # a module only when one of its names is used
     spec = importlib.util.spec_from_file_location("perfbench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)

@@ -219,11 +219,12 @@ class TestVerify:
         assert code == 2 and "unknown case" in err
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
-        from adebps import cli as cli_mod
+        from adebps import verify
         from adebps.verify import CheckResult
 
+        # cmd_verify imports run_checks when it runs, so it reads the patched name
         monkeypatch.setattr(
-            cli_mod, "run_checks", lambda case, quick: [CheckResult("doomed", False, "boom")]
+            verify, "run_checks", lambda case, quick: [CheckResult("doomed", False, "boom")]
         )
         code, out, _ = run(capsys, "verify")
         assert code == 1
@@ -286,6 +287,40 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots"])
     assert exc.value.code == 2
+
+
+ENGINE = {"adebps.localize", "adebps.symring", "adebps.verify"}
+CASE = ["--case", "e8-a5"]
+
+
+LOADS = [
+    (["roots", "E", "8"], {"adebps.rootsys"}, ENGINE | {"adebps.folding", "json", "csv"}),
+    (["roots", "E", "8", "--format", "json"], {"json"}, ENGINE | {"csv"}),
+    (["table", *CASE], {"adebps.catalog", "adebps.folding"}, ENGINE | {"json", "csv"}),
+    (["table", *CASE, "--format", "csv"], {"csv"}, ENGINE | {"json"}),
+    (["localize", "3,5,4,3", *CASE], {"adebps.localize"}, {"adebps.verify", "json", "csv"}),
+    (["localize", "3,5,4,3", *CASE, "--format", "json"], {"json"}, {"adebps.verify", "csv"}),
+    (["dump-descriptor"], {"adebps.localize"}, {"adebps.verify", "json", "csv"}),
+    (["verify", "--quick"], {"adebps.verify"}, {"json", "csv"}),
+]
+
+
+@pytest.mark.parametrize("argv, needed, unloaded", LOADS, ids=[" ".join(argv) for argv, _, _ in LOADS])
+def test_each_command_loads_only_what_it_runs(argv, needed, unloaded):
+    # a fresh interpreter per command; what it had loaded before adebps does not count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from adebps.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('loaded:', *sorted(set(sys.modules) - before))\n"
+        "sys.exit(code)\n"
+    )
+    p = run_python("-c", script, *argv)
+    assert p.returncode == 0, p.stderr
+    loaded = set(p.stdout.splitlines()[-1].split()[1:])
+    assert needed <= loaded
+    assert loaded & unloaded == set()
 
 
 def test_cli_import_leaves_numpy_unloaded():
