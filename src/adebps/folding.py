@@ -11,9 +11,9 @@ from a positive root exactly when the lift has square -2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .rootsys import (
     DynkinDiagram,
@@ -28,24 +28,36 @@ from .rootsys import (
 CurveClass = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Marking:
-    """A partition of the nodes into black (contracted) and ordered white."""
-
+class _MarkingFields(NamedTuple):
     diagram: DynkinDiagram
     black: frozenset[int]
     white_order: tuple[int, ...]
 
-    def __post_init__(self):
-        nodes = set(range(self.diagram.rank))
-        if not set(self.black) <= nodes:
+
+class Marking(_MarkingFields):
+    """A partition of the nodes into black (contracted) and ordered white.
+
+    A named tuple, checked whenever one is built: by the constructor, ``_replace``, a copy or a pickle.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, diagram: DynkinDiagram, black: frozenset[int], white_order: tuple[int, ...]):
+        self = super().__new__(cls, diagram, black, white_order)
+        nodes = set(range(diagram.rank))
+        if not set(black) <= nodes:
             raise ValueError("black nodes out of range")
-        if len(set(self.white_order)) != len(self.white_order):
+        if len(set(white_order)) != len(white_order):
             raise ValueError("duplicate node in white order")
-        if set(self.white_order) & set(self.black):
+        if set(white_order) & set(black):
             raise ValueError("black and white overlap")
-        if set(self.white_order) | set(self.black) != nodes:
+        if set(white_order) | set(black) != nodes:
             raise ValueError("black and white must cover all nodes")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Marking:
+        return cls(*iterable)
 
     @property
     def black_order(self) -> tuple[int, ...]:
@@ -71,8 +83,7 @@ def project(root: RootVector, m: Marking) -> CurveClass | None:
     return white if any(white) else None
 
 
-@dataclass(frozen=True)
-class BPSRecord:
+class BPSRecord(NamedTuple):
     cls: CurveClass
     fiber_count: int
     invariant: Fraction
@@ -91,11 +102,11 @@ def bps_table(m: Marking) -> list[BPSRecord]:
         white = itemgetter(slice(order[0], order[0] + 1) if order else slice(0))
     fibers = Counter(map(white, enumerate_positive_roots(m.diagram)))
     fibers.pop((0,) * len(order), None)
-    return [BPSRecord(cls, n, Fraction(n, 2)) for cls, n in sorted(fibers.items())]
+    halves = {n: Fraction(n, 2) for n in set(fibers.values())}  # a fiber count takes few values
+    return [BPSRecord(cls, n, halves[n]) for cls, n in sorted(fibers.items())]
 
 
-@dataclass(frozen=True)
-class LiftedDivisor:
+class LiftedDivisor(NamedTuple):
     """Completion of a curve class to a divisor on the resolved surface."""
 
     full: tuple[int, ...]  # coefficient per diagram node

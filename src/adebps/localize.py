@@ -31,9 +31,9 @@ is the sum of the P_p, and it is integral exactly when the R_p cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift
 from .symring import (
@@ -61,28 +61,24 @@ class DescriptorError(ValueError):
     """Malformed or inconsistent fixed-point data."""
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     divisor: str  # label of a marked-diagram node, e.g. "F2" or "E1"
     weight: int
 
 
-@dataclass(frozen=True)
-class YPoint:
+class YPoint(NamedTuple):
     name: str
     weights: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class SPoint:
+class SPoint(NamedTuple):
     name: str
     weights: tuple[int, int]
     image: str
     incidences: tuple[Incidence, ...]
 
 
-@dataclass(frozen=True)
-class SCurve:
+class SCurve(NamedTuple):
     """A pointwise-fixed rational curve; its name is its divisor label."""
 
     name: str
@@ -92,25 +88,11 @@ class SCurve:
     incidences: tuple[Incidence, ...]  # crossing divisors with transverse weight
 
 
-@dataclass(frozen=True)
-class GeometryDescriptor:
+class GeometryDescriptor(NamedTuple):
     y_points: tuple[YPoint, ...]
     s_points: tuple[SPoint, ...]
     s_curves: tuple[SCurve, ...]
     canonical_weight: int = -3
-
-    def __hash__(self) -> int:
-        # every localization call looks the descriptor up in ``_resolve``'s
-        # cache, so the nested tuples are hashed once, not on every call
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.y_points, self.s_points, self.s_curves, self.canonical_weight))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes: never pickle the cached one
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def y_point(self, name: str) -> YPoint:
         for y in self.y_points:
@@ -291,8 +273,7 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     return _certified_sum((key, _point_sums(*key)[1]) for _, key in _point_keys(lft, g, m))
 
 
-@dataclass(frozen=True)
-class ExtDecomposition:
+class ExtDecomposition(NamedTuple):
     """Splitting 1 - ext1 + ext2 - mu^serre of an Euler pairing character."""
 
     ext1: VirtualCharacter
@@ -316,8 +297,7 @@ def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposit
     return ExtDecomposition(ext1=ext1, ext2=ext2)
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(NamedTuple):
     """Every stage of the localization of one class, from the lift to n."""
 
     lift: LiftedDivisor

@@ -10,16 +10,21 @@ stay comparable across modules and files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from typing import NamedTuple
 
 RootVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class _DiagramFields(NamedTuple):
+    kind: str
+    rank: int
+    edges: tuple[tuple[int, int], ...]
+
+
+class DynkinDiagram(_DiagramFields):
     """A simply-laced Dynkin tree with the fixed node order n1..n_rank.
 
     Canonical shapes produced by :func:`build_diagram`:
@@ -27,20 +32,19 @@ class DynkinDiagram:
     * ``A_n`` chain n1-n2-...-n_n
     * ``D_n`` chain n1-...-n_{n-1}, with n_n attached to n_{n-2}
     * ``E_n`` chain n1-...-n_{n-1}, with n_n attached to n_{n-3}
+
+    A named tuple, checked whenever one is built: by the constructor, ``_replace``, a copy or a pickle.
     """
 
-    kind: str
-    rank: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        r = self.rank
+    def __new__(cls, kind: str, rank: int, edges: tuple[tuple[int, int], ...]):
+        self = super().__new__(cls, kind, rank, edges)
+        r = rank
         if r < 1:
             raise ValueError("rank must be positive")
         deg = [0] * r
         seen: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in range(r)]
-        for e in self.edges:
+        for e in edges:
             i, j = e
             if not (0 <= i < r and 0 <= j < r) or i == j:
                 raise ValueError(f"bad edge {e!r}")
@@ -52,8 +56,8 @@ class DynkinDiagram:
             deg[j] += 1
             adj[i].append(j)
             adj[j].append(i)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        if len(self.edges) != r - 1:
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        if len(edges) != r - 1:
             raise ValueError("a Dynkin diagram is a tree: need rank-1 edges")
         reached = {0}
         stack = [0]
@@ -78,6 +82,11 @@ class DynkinDiagram:
                 arms.append(size)
             if sum(Fraction(1, a) for a in arms) <= 1:
                 raise ValueError(f"branch arms of {sorted(arms)} nodes are not of ADE shape")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DynkinDiagram:
+        return cls(*iterable)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]

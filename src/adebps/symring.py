@@ -35,9 +35,8 @@ classes.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, NamedTuple, Tuple
 
 
 def render_terms(coeffs: Mapping[int, int]) -> str:
@@ -463,8 +462,7 @@ def to_polynomial(u: Quotient) -> VirtualCharacter:
     return poly
 
 
-@dataclass(frozen=True)
-class EulerClass:
+class EulerClass(NamedTuple):
     """An exact equivariant Euler class scalar * t**degree."""
 
     scalar: int

@@ -8,9 +8,9 @@ the non-root scan, the invariants of every total on the class box
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from . import catalog
 from .folding import bps_table, lift, project
@@ -89,8 +89,7 @@ GOLDEN_SUMMANDS = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

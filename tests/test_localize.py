@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from fractions import Fraction
 from itertools import product
@@ -116,8 +115,8 @@ class TestLineBundleData:
         # stands in only for a curve that nothing crosses
         e = g.s_curves[0]
         for curve, want in (
-            (dataclasses.replace(e, incidences=tuple(Incidence(i.divisor, 2) for i in e.incidences)), -12),
-            (dataclasses.replace(e, normal_weight=3, incidences=()), -18),
+            (e._replace(incidences=tuple(Incidence(i.divisor, 2) for i in e.incidences)), -12),
+            (e._replace(normal_weight=3, incidences=()), -18),
         ):
             broken = GeometryDescriptor(g.y_points, g.s_points, (curve,))
             assert restriction_weights(top, broken, m)["E3"] == (want, 0)
@@ -143,7 +142,7 @@ class TestLineBundleData:
     def test_stray_image_raises(self, g, m):
         # a component whose image names no threefold point must not be dropped
         stray_point = SPoint("Qx", (2, -1), "P9", ())
-        stray_curve = dataclasses.replace(g.s_curves[0], image="Q")
+        stray_curve = g.s_curves[0]._replace(image="Q")
         lft = lift((1, 2, 2, 1), m)
         for broken in (
             GeometryDescriptor(g.y_points, g.s_points + (stray_point,), g.s_curves),
@@ -442,14 +441,14 @@ def _int_mutants(obj):
     if isinstance(obj, int):
         for d in (-1, 1):
             yield (d,), obj + d
+    elif hasattr(obj, "_fields"):  # a record is a tuple too: test for it first, or mutants lose their type
+        for name in obj._fields:
+            for path, new in _int_mutants(getattr(obj, name)):
+                yield (name, *path), obj._replace(**{name: new})
     elif isinstance(obj, tuple):
         for i, item in enumerate(obj):
             for path, new in _int_mutants(item):
                 yield (i, *path), obj[:i] + (new,) + obj[i + 1 :]
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            for path, new in _int_mutants(getattr(obj, f.name)):
-                yield (f.name, *path), dataclasses.replace(obj, **{f.name: new})
 
 
 def test_descriptor_mutation_sweep(m, g):
@@ -640,7 +639,7 @@ def test_remainders_that_do_not_cancel_raise(m, g):
     # polynomial: only the remainder certificate catches it, warm or cold
     e3 = g.s_curves[0]
     assert (e3.name, e3.normal_weight) == ("E3", 1)
-    bent = dataclasses.replace(g, s_curves=(dataclasses.replace(e3, normal_weight=2), *g.s_curves[1:]))
+    bent = g._replace(s_curves=(e3._replace(normal_weight=2), *g.s_curves[1:]))
     assert validate_descriptor(bent, m) == []
     top = lift((3, 5, 4, 3), m)
     total_chi(top, g, m)
@@ -659,14 +658,12 @@ def test_remainders_that_do_not_cancel_raise(m, g):
 
 
 def test_equal_descriptors_hash_alike(m, g):
-    # the hash is cached on the descriptor (the first hash(g) stores it, the
-    # second reads it back); equality stays structural
-    copies = [parse_descriptor(format_descriptor(g)), dataclasses.replace(g), pickle.loads(pickle.dumps(g))]
+    # equality and the hash are structural, so equal copies share one resolution
+    copies = [parse_descriptor(format_descriptor(g)), g._replace(), pickle.loads(pickle.dumps(g))]
     for h in (hash(g), hash(g)):
         for other in copies:
             assert other == g and other is not g and hash(other) == h
-    assert "_hash" not in pickle.loads(pickle.dumps(g)).__dict__
-    bent = dataclasses.replace(g, canonical_weight=-2)
+    bent = g._replace(canonical_weight=-2)
     assert bent != g and hash(bent) != hash(g)
     assert _resolve(copies[0], m) is _resolve(g, m)
 

@@ -1,0 +1,86 @@
+"""The thirteen result and data records are named tuples.
+
+Each is immutable and equals the plain tuple of its fields; the two with
+constructor checks, ``DynkinDiagram`` and ``Marking``, run them on every
+way of building one: the constructor, ``_make``, ``_replace``, copies and
+pickles.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from adebps.catalog import e8_a5_descriptor, e8_a5_marking
+from adebps.folding import Marking, bps_table
+from adebps.localize import GeometryDescriptor, localize_class
+from adebps.rootsys import DynkinDiagram, build_diagram
+from adebps.verify import CheckResult
+
+
+def _records():
+    m, g = e8_a5_marking(), e8_a5_descriptor()
+    res = localize_class((3, 5, 4, 3), m, g)
+    return [
+        m.diagram, m, bps_table(m)[0], res.lift, res.euler_ext1, g.s_curves[0].incidences[0],
+        g.y_points[0], g.s_points[0], g.s_curves[0], g, res.ext, res, CheckResult("golden", True),
+    ]
+
+
+RECORDS = _records()
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+def test_thirteen_record_types():
+    assert len({type(r) for r in RECORDS}) == 13
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_are_read_only(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_equals_the_tuple_of_its_fields(record):
+    fields = tuple(getattr(record, name) for name in record._fields)
+    assert record == fields and tuple(record) == fields
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_round_trips_keep_checked_records(round_trip):
+    m, g = e8_a5_marking(), e8_a5_descriptor()
+    for d in (m.diagram, build_diagram("D", 6), build_diagram("A", 1)):
+        back = round_trip(d)
+        assert type(back) is DynkinDiagram and back == d
+        assert [back.neighbors(i) for i in range(d.rank)] == [d.neighbors(i) for i in range(d.rank)]
+    back = round_trip(m)
+    assert type(back) is Marking and back == m and back.black_order == m.black_order
+    back = round_trip(g)
+    assert type(back) is GeometryDescriptor and back == g and hash(back) == hash(g)
+
+
+def test_every_construction_path_runs_the_checks():
+    m = e8_a5_marking()
+    d = m.diagram
+    with pytest.raises(ValueError, match="black nodes out of range"):
+        m._replace(black=frozenset({99}))
+    with pytest.raises(ValueError, match="black and white overlap"):
+        Marking._make((d, m.black | {m.white_order[0]}, m.white_order))
+    with pytest.raises(ValueError, match="rank-1 edges"):
+        d._replace(edges=d.edges[:-1])
+    same = d._replace(edges=tuple((j, i) for i, j in reversed(d.edges)))
+    assert [same.neighbors(i) for i in range(d.rank)] == [d.neighbors(i) for i in range(d.rank)]
+    # a record forged past its constructor is checked again when copied or unpickled
+    for forged, message in (
+        (tuple.__new__(Marking, (d, frozenset({99}), m.white_order)), "black nodes out of range"),
+        (tuple.__new__(DynkinDiagram, ("A", 3, ((0, 0), (1, 2)))), "bad edge"),
+    ):
+        for round_trip in ROUND_TRIPS.values():
+            with pytest.raises(ValueError, match=message):
+                round_trip(forged)
