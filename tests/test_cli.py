@@ -290,18 +290,18 @@ def test_usage_error_exits_2(capsys):
 ENGINE = {"adebps.localize", "adebps.symring", "adebps.verify"}
 CASE = ["--case", "e8-a5"]
 # the records are named tuples: no command pays for dataclasses and the inspect it imports
-RECORDS = {"dataclasses", "inspect"}
+DATACLASSES = {"dataclasses", "inspect"}
 
 
 LOADS = [
-    (["roots", "E", "8"], {"adebps.rootsys"}, RECORDS | ENGINE | {"adebps.catalog", "json", "csv"}),
-    (["roots", "E", "8", "--format", "json"], {"json"}, RECORDS | ENGINE | {"csv"}),
-    (["table", *CASE], {"adebps.catalog", "adebps.folding"}, RECORDS | ENGINE | {"json", "csv"}),
-    (["table", *CASE, "--format", "csv"], {"csv"}, RECORDS | ENGINE | {"json"}),
-    (["localize", "3,5,4,3", *CASE], {"adebps.localize"}, RECORDS | {"adebps.verify", "json", "csv"}),
-    (["localize", "3,5,4,3", *CASE, "--format", "json"], {"json"}, RECORDS | {"adebps.verify", "csv"}),
-    (["dump-descriptor"], {"adebps.localize"}, RECORDS | {"adebps.verify", "json", "csv"}),
-    (["verify", "--quick"], {"adebps.verify"}, RECORDS | {"json", "csv"}),
+    (["roots", "E", "8"], {"adebps.rootsys"}, DATACLASSES | ENGINE | {"adebps.catalog", "json", "csv"}),
+    (["roots", "E", "8", "--format", "json"], {"json"}, DATACLASSES | ENGINE | {"csv"}),
+    (["table", *CASE], {"adebps.catalog", "adebps.folding"}, DATACLASSES | ENGINE | {"json", "csv"}),
+    (["table", *CASE, "--format", "csv"], {"csv"}, DATACLASSES | ENGINE | {"json"}),
+    (["localize", "3,5,4,3", *CASE], {"adebps.localize"}, DATACLASSES | {"adebps.verify", "json", "csv"}),
+    (["localize", "3,5,4,3", *CASE, "--format", "json"], {"json"}, DATACLASSES | {"adebps.verify", "csv"}),
+    (["dump-descriptor"], {"adebps.localize"}, DATACLASSES | {"adebps.verify", "json", "csv"}),
+    (["verify", "--quick"], {"adebps.verify"}, DATACLASSES | {"json", "csv"}),
 ]
 
 
