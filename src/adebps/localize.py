@@ -17,7 +17,15 @@ weight is constant, the along-curve direction has weight 0, and the
 restriction degree is minus the intersection number with the curve.
 
 Localization runs in three steps.  ``_resolve`` resolves a descriptor
-against a marking once, with every check that needs no class.  Per class,
+against a marking once and checks it: unique names, threefold tangent
+triples summing to minus the canonical weight, known images and labels,
+at most two incidences per surface point with weights among its tangent
+weights, nonzero normal weights, two fixed ends with cancelling
+along-curve weights for each divisor that is not a fixed curve (which
+never appears in incidence data), one crossing weight per fixed curve,
+and no degenerate fixed point.  Every entry point runs it, so bad data
+raises DescriptorError before any class is localized;
+``validate_descriptor`` adds only the two soft warnings.  Per class,
 restriction is integer sums over the lift: the key of a threefold point
 p is its tangent weights, (tangent weights, weight) for each surface
 point over p, and (weight, degree, normal weight, self-intersection)
@@ -115,26 +123,64 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple[tuple, tup
     A surface point comes with its weight as a linear form in the lift,
     ((node, coefficient), ...), a fixed curve with the forms of its weight
     (multiplicity times minus the transverse weight: the along-curve one
-    is 0) and its degree (its Cartan row).  Raises on unknown images and
-    labels, disagreeing crossing weights, normal weight 0, and a
-    degenerate fixed point with something over it.
+    is 0) and its degree (its Cartan row).  Raises DescriptorError, in this
+    order, on: names that are not unique across all components; threefold
+    tangent triples not summing to minus the canonical weight; unknown
+    images and labels; more than two divisors through a surface point, or
+    an incidence weight not among its tangent weights; normal weight 0; a
+    divisor other than a fixed curve without exactly two fixed ends whose
+    along-curve weights cancel, or a fixed curve in incidence data;
+    disagreeing crossing weights; and a degenerate fixed point with
+    something over it.
     """
     labels = divisor_labels(m)
-    if len({p.name for p in g.y_points}) != len(g.y_points):
-        raise DescriptorError("threefold point names are not unique")
+    names = [x.name for x in (*g.y_points, *g.s_points, *g.s_curves)]
+    if len(set(names)) != len(names):
+        raise DescriptorError("component names are not unique")
+    for y in g.y_points:
+        if sum(y.weights) != -g.canonical_weight:
+            raise DescriptorError(
+                f"tangent weights of {y.name} sum to {sum(y.weights)}, expected {-g.canonical_weight}"
+            )
     over: dict[YPoint, tuple[list, list]] = {p: ([], []) for p in g.y_points}
+    ends: dict[str, list[int]] = {}  # along-curve weight at each fixed end, by divisor label
     for q in g.s_points:
-        form = tuple((_node_of(inc.divisor, labels), -inc.weight) for inc in q.incidences)
-        over[g.y_point(q.image)][0].append((q, form))
+        p = g.y_point(q.image)
+        if len(q.incidences) > 2:
+            raise DescriptorError(f"{q.name}: more than two divisors through a surface point")
+        pool = list(q.weights)
+        for inc in q.incidences:
+            _node_of(inc.divisor, labels)
+            if inc.weight not in pool:
+                raise DescriptorError(
+                    f"{q.name}: incidence weight {inc.weight} not among tangent weights {q.weights}"
+                )
+            pool.remove(inc.weight)
+            ends.setdefault(inc.divisor, []).append(sum(q.weights) - inc.weight)
+        over[p][0].append((q, tuple((labels[inc.divisor], -inc.weight) for inc in q.incidences)))
     for e in g.s_curves:
-        node = _node_of(e.name, labels)
+        g.y_point(e.image)
+        _node_of(e.name, labels)
         for inc in e.incidences:
             _node_of(inc.divisor, labels)
+            ends.setdefault(inc.divisor, []).append(inc.weight)
+        if e.normal_weight == 0:
+            raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
+    curve_labels = {e.name for e in g.s_curves}
+    for label in labels:
+        got = ends.get(label, [])
+        if label in curve_labels:
+            if got:
+                raise DescriptorError(f"fixed curve {label} also appears in incidence data")
+        elif len(got) != 2:
+            raise DescriptorError(f"divisor {label} has {len(got)} fixed ends, expected 2")
+        elif sum(got) != 0:
+            raise DescriptorError(f"divisor {label}: end weights {got} do not cancel")
+    for e in g.s_curves:
         crossings = {inc.weight for inc in e.incidences} or {e.normal_weight}
         if len(crossings) > 1:
             raise DescriptorError(f"inconsistent crossing weights on {e.name!r}: {sorted(crossings)}")
-        if e.normal_weight == 0:
-            raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
+        node = labels[e.name]
         degree = ((node, 2), *((j, -1) for j in m.diagram.neighbors(node)))
         over[g.y_point(e.image)][1].append((e, ((node, -crossings.pop()),), degree))
     for x in [*g.s_points, *(p for p, (points, curves) in over.items() if points or curves)]:
@@ -337,76 +383,18 @@ def bps_from_localization(cls: CurveClass, m: Marking, g: GeometryDescriptor) ->
 
 
 def validate_descriptor(g: GeometryDescriptor, m: Marking) -> list[str]:
-    """Hard structural checks (raise DescriptorError) plus soft warnings.
-
-    Hard: unique names, resolvable images and labels, threefold tangent
-    triples summing to minus the canonical weight, incidence weights
-    drawn from the point's tangent weights, every divisor seen at exactly
-    two fixed ends (or being itself a fixed curve), and along-curve
-    weights at the two ends of each divisor cancelling.
+    """The hard checks of ``_resolve`` (raise DescriptorError) plus soft warnings.
 
     Soft (returned): surface tangent weights not summing to 1, or a
     fixed curve with self-intersection other than -2.
     """
-    warnings: list[str] = []
-    labels = divisor_labels(m)
-    names = [y.name for y in g.y_points] + [q.name for q in g.s_points] + [e.name for e in g.s_curves]
-    if len(set(names)) != len(names):
-        raise DescriptorError("component names are not unique")
-    for y in g.y_points:
-        if sum(y.weights) != -g.canonical_weight:
-            raise DescriptorError(
-                f"tangent weights of {y.name} sum to {sum(y.weights)}, expected {-g.canonical_weight}"
-            )
-    for q in g.s_points:
-        g.y_point(q.image)
-        if len(q.incidences) > 2:
-            raise DescriptorError(f"{q.name}: more than two divisors through a surface point")
-        pool = list(q.weights)
-        for inc in q.incidences:
-            _node_of(inc.divisor, labels)
-            if inc.weight not in pool:
-                raise DescriptorError(
-                    f"{q.name}: incidence weight {inc.weight} not among tangent weights {q.weights}"
-                )
-            pool.remove(inc.weight)
-        if sum(q.weights) != 1:
-            warnings.append(f"{q.name}: tangent weights sum to {sum(q.weights)}, not 1")
-    curve_labels = set()
-    for e in g.s_curves:
-        g.y_point(e.image)
-        _node_of(e.name, labels)
-        curve_labels.add(e.name)
-        for inc in e.incidences:
-            _node_of(inc.divisor, labels)
-        if e.self_intersection != -2:
-            warnings.append(f"{e.name}: self-intersection {e.self_intersection}, not -2")
-    # ends per divisor label: (along-curve weight at each fixed end)
-    ends: dict[str, list[int]] = {}
-    for q in g.s_points:
-        if len(q.incidences) == 1:
-            inc = q.incidences[0]
-            pool = list(q.weights)
-            pool.remove(inc.weight)
-            ends.setdefault(inc.divisor, []).append(pool[0])
-        elif len(q.incidences) == 2:
-            a, b = q.incidences
-            ends.setdefault(a.divisor, []).append(b.weight)
-            ends.setdefault(b.divisor, []).append(a.weight)
-    for e in g.s_curves:
-        for inc in e.incidences:
-            ends.setdefault(inc.divisor, []).append(inc.weight)
-    for label in labels:
-        got = ends.get(label, [])
-        if label in curve_labels:
-            if got:
-                raise DescriptorError(f"fixed curve {label} also appears in incidence data")
-            continue
-        if len(got) != 2:
-            raise DescriptorError(f"divisor {label} has {len(got)} fixed ends, expected 2")
-        if sum(got) != 0:
-            raise DescriptorError(f"divisor {label}: end weights {got} do not cancel")
-    return warnings
+    # uncached: a cached entry for a validated copy would make every later
+    # lookup with the original compare the two descriptors field by field
+    _resolve.__wrapped__(g, m)
+    return [f"{q.name}: tangent weights sum to {sum(q.weights)}, not 1"
+            for q in g.s_points if sum(q.weights) != 1] + [
+        f"{e.name}: self-intersection {e.self_intersection}, not -2"
+        for e in g.s_curves if e.self_intersection != -2]
 
 
 # -- descriptor file format --------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adebps.catalog import e8_a5_descriptor, e8_a5_marking
-from adebps.folding import LiftedDivisor, bps_table, divisor_labels, lift
+from adebps.folding import LiftedDivisor, Marking, bps_table, divisor_labels, lift
 from adebps.localize import (
     DescriptorError,
     GeometryDescriptor,
@@ -31,6 +31,7 @@ from adebps.localize import (
     total_chi,
     validate_descriptor,
 )
+from adebps.rootsys import build_diagram
 from adebps.symring import (
     LaurentPoly,
     Quotient,
@@ -62,6 +63,29 @@ def g():
 @pytest.fixture(scope="module")
 def top(m):
     return lift((3, 5, 4, 3), m)
+
+
+#: A3 with the middle node black: F1 and F2 are the end nodes, E1 the middle one
+A3 = Marking(build_diagram("A", 3), frozenset({1}), (0, 2))
+
+
+def _a3_descriptors():
+    """Two A3 descriptors that pass every check, in which E1 has normal weight 3.
+
+    In the first, F1 and F2 cross E1 at weight 2, which no check compares
+    with the normal weight; in the second nothing crosses E1, and F1 and
+    F2 end at two more surface points instead.
+    """
+    y_points = (YPoint("P", (1, 1, 1)), YPoint("P1", (5, 1, -3)), YPoint("P2", (2, 2, -1)))
+    ends = (SPoint("Q1", (3, -2), "P1", (Incidence("F1", 3),)),
+            SPoint("Q2", (3, -2), "P2", (Incidence("F2", 3),)))
+    crossings = (Incidence("F1", 2), Incidence("F2", 2))
+    far_ends = (SPoint("Q1'", (-1, 2), "P", (Incidence("F1", -1),)),
+                SPoint("Q2'", (-1, 2), "P", (Incidence("F2", -1),)))
+    return (
+        GeometryDescriptor(y_points, ends, (SCurve("E1", "P", 3, -2, crossings),)),
+        GeometryDescriptor(y_points, ends + far_ends, (SCurve("E1", "P", 3, -2, ()),)),
+    )
 
 
 def s_point(g, name):
@@ -113,26 +137,41 @@ class TestLineBundleData:
         assert restriction_weights(top, g, m)["E3"] == (-6, 0)
         # the transverse weight is read at the crossings; the normal weight
         # stands in only for a curve that nothing crosses
+        crossed, bare = _a3_descriptors()
+        assert validate_descriptor(crossed, A3) == validate_descriptor(bare, A3) == []
+        assert restriction_weights(lift((1, 1), A3), crossed, A3)["E1"] == (-2, 0)
+        assert restriction_weights(lift((1, 1), A3), bare, A3)["E1"] == (-3, 0)
+        # on e8-a5, a crossing weight of 2, or no crossing at all, leaves the
+        # divisors that cross E3 with inconsistent ends
         e = g.s_curves[0]
-        for curve, want in (
-            (e._replace(incidences=tuple(Incidence(i.divisor, 2) for i in e.incidences)), -12),
-            (e._replace(normal_weight=3, incidences=()), -18),
+        for curve, fault in (
+            (e._replace(incidences=tuple(Incidence(i.divisor, 2) for i in e.incidences)),
+             r"divisor F2: end weights \[-1, 2\] do not cancel"),
+            (e._replace(normal_weight=3, incidences=()), "divisor F2 has 1 fixed ends, expected 2"),
         ):
             broken = GeometryDescriptor(g.y_points, g.s_points, (curve,))
-            assert restriction_weights(top, broken, m)["E3"] == (want, 0)
+            with pytest.raises(DescriptorError, match=fault):
+                restriction_weights(top, broken, m)
 
     def test_degree_one_case(self, g, m):
         assert restriction_weights(lift((1, 2, 2, 1), m), g, m)["E3"] == (-3, 1)
 
     def test_inconsistent_crossings_detected(self, g, m, top):
-        bad = SCurve("E3", "P", 1, -2, (Incidence("F2", 1), Incidence("F3", 2)))
-        broken = GeometryDescriptor(g.y_points, g.s_points, (bad,))
-        with pytest.raises(DescriptorError, match="inconsistent"):
+        # F4 crosses E3 at weight 2 and ends at Q4 with weight -2: every
+        # divisor's ends cancel, but the crossings of E3 disagree
+        e3 = SCurve("E3", "P", 1, -2, (Incidence("F2", 1), Incidence("F3", 1), Incidence("F4", 2)))
+        q4 = SPoint("Q4", (3, -2), "P4", (Incidence("F4", 3),))
+        broken = GeometryDescriptor(g.y_points, g.s_points[:-1] + (q4,), (e3,))
+        with pytest.raises(DescriptorError, match=r"inconsistent crossing weights on 'E3': \[1, 2\]"):
             restriction_weights(top, broken, m)
         # E3 has multiplicity 0 in the lift of (1,0,0,0): the crossings still disagree
         assert lift((1, 0, 0, 0), m).full[4] == 0
         with pytest.raises(DescriptorError, match="inconsistent"):
             total_chi(lift((1, 0, 0, 0), m), broken, m)
+        # with F3 crossing at 2 and F4 not crossing at all, the end check fails first
+        bad = SCurve("E3", "P", 1, -2, (Incidence("F2", 1), Incidence("F3", 2)))
+        with pytest.raises(DescriptorError, match=r"divisor F3: end weights \[-1, 2\] do not cancel"):
+            total_chi(top, GeometryDescriptor(g.y_points, g.s_points, (bad,)), m)
 
     def test_unknown_point_rejected(self, g, m, top):
         stray = SPoint("Qx", (1, 2), "P1", ())
@@ -482,12 +521,100 @@ def test_descriptor_mutation_sweep(m, g):
             assert totals != base, f"mutant {path} goes undetected"
             outcomes["changed"].append(path)
     assert {k: len(v) for k, v in outcomes.items()} == {
-        "rejected": 88, "warned": 2, "raises": 2, "changed": 0
+        "rejected": 89, "warned": 2, "raises": 1, "changed": 0
     }
     assert outcomes["warned"] == [
         ("s_curves", 0, "self_intersection", -1), ("s_curves", 0, "self_intersection", 1)
     ]
     assert certificate_only == [("s_curves", 0, "normal_weight", 1)]
+
+
+def _descriptor_faults(g, m, classes):
+    """The DescriptorError messages that each library entry point raises on g, None where it raises none."""
+    faults = set()
+    for k, cls in enumerate(classes):
+        lft = lift(cls, m)
+        for call in (
+            lambda: total_chi(lft, g, m),
+            lambda: localize_class(cls, m, g),
+            lambda: chern_character_at(g.y_points[k % len(g.y_points)], lft, g, m),
+            lambda: restriction_weights(lft, g, m),
+        ):
+            try:
+                call()
+            except DescriptorError as exc:
+                faults.add(str(exc))
+                continue
+            except ValueError:  # the certificate or the Ext split: not a descriptor check
+                pass
+            faults.add(None)
+    return faults
+
+
+def _validator_fault(g, m):
+    try:
+        validate_descriptor(g, m)
+    except DescriptorError as exc:
+        return str(exc)
+    return None
+
+
+def test_rejected_mutants_raise_everywhere(m, g):
+    # the library checks what the validator checks: every +-1 mutant it
+    # rejects raises the same error from every entry point on every class
+    classes = [rec.cls for rec in bps_table(m)]
+    rejected = 0
+    for path, mutant in _int_mutants(g):
+        fault = _validator_fault(mutant, m)
+        if fault is not None:
+            rejected += 1
+            assert _descriptor_faults(mutant, m, classes) == {fault}, path
+    assert rejected == 89
+
+
+def _edit_incidences(g, section, i, edit):
+    """g with edit applied to the incidence list of component i of a section."""
+    parts = list(getattr(g, section))
+    parts[i] = parts[i]._replace(incidences=tuple(edit(list(parts[i].incidences))))
+    return g._replace(**{section: tuple(parts)})
+
+
+@st.composite
+def _perturbed_descriptors(draw):
+    """The built-in descriptor after 2-3 edits: an integer moved by 1, an
+    incidence dropped or duplicated, or the labels of two incidences swapped."""
+    g = e8_a5_descriptor()
+    for _ in range(draw(st.integers(2, 3))):
+        edit = draw(st.sampled_from(["integer", "drop", "duplicate", "swap"]))
+        sites = [(section, i, j) for section in ("s_points", "s_curves")
+                 for i, part in enumerate(getattr(g, section)) for j in range(len(part.incidences))]
+        if edit == "integer" or not sites:
+            g = draw(st.sampled_from([mutant for _, mutant in _int_mutants(g)]))
+        elif edit == "drop":
+            section, i, j = draw(st.sampled_from(sites))
+            g = _edit_incidences(g, section, i, lambda incs: incs[:j] + incs[j + 1 :])
+        elif edit == "duplicate":
+            section, i, j = draw(st.sampled_from(sites))
+            g = _edit_incidences(g, section, i, lambda incs: incs[: j + 1] + incs[j:])
+        else:
+            (s1, i1, j1), (s2, i2, j2) = draw(st.lists(st.sampled_from(sites), min_size=2, max_size=2))
+            a = getattr(g, s1)[i1].incidences[j1].divisor
+            b = getattr(g, s2)[i2].incidences[j2].divisor
+            for section, i, j, label in ((s1, i1, j1, b), (s2, i2, j2, a)):
+                g = _edit_incidences(
+                    g, section, i, lambda incs: incs[:j] + [incs[j]._replace(divisor=label)] + incs[j + 1 :]
+                )
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbed_descriptors())
+def test_validator_and_library_agree(mutant):
+    # on multi-field perturbations, validate_descriptor and the library entry
+    # points all raise the same DescriptorError, or none of them raises one
+    m = e8_a5_marking()
+    classes = [rec.cls for rec in bps_table(m)][::6]
+    assert _descriptor_faults(mutant, m, classes) == {_validator_fault(mutant, m)}
 
 
 # -- the kernel against the formula it replaces -----------------------------
