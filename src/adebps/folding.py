@@ -19,7 +19,6 @@ from .rootsys import (
     DynkinDiagram,
     RootVector,
     build_diagram,
-    cartan_pairing,
     enumerate_positive_roots,
     is_positive_root,
     node_index,
@@ -37,10 +36,9 @@ class _MarkingFields(NamedTuple):
 class Marking(_MarkingFields):
     """A partition of the nodes into black (contracted) and ordered white.
 
-    A named tuple, checked whenever one is built: by the constructor, ``_replace``, a copy or a pickle.
+    A named tuple, checked whenever one is built: by the constructor, ``_replace``, a copy or a pickle,
+    which also stores :func:`lift`'s plan: (rank, (black node, neighbours) in black order, edges) or None.
     """
-
-    __slots__ = ()
 
     def __new__(cls, diagram: DynkinDiagram, black: frozenset[int], white_order: tuple[int, ...]):
         self = super().__new__(cls, diagram, black, white_order)
@@ -53,6 +51,8 @@ class Marking(_MarkingFields):
             raise ValueError("black and white overlap")
         if set(white_order) | set(black) != nodes:
             raise ValueError("black and white must cover all nodes")
+        blacks = tuple((b, diagram.neighbors(b)) for b in self.black_order)
+        self._lift_plan = (diagram.rank, blacks, diagram.edges) if self.black_is_independent() else None
         return self
 
     @classmethod
@@ -83,6 +83,14 @@ def project(root: RootVector, m: Marking) -> CurveClass | None:
     return white if any(white) else None
 
 
+def tuple_getter(indices: tuple[int, ...]):
+    """The entries at ``indices`` of a tuple, as a tuple, by one ``itemgetter``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    # itemgetter of one index returns a scalar, so one or no indices read a slice
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
 class BPSRecord(NamedTuple):
     cls: CurveClass
     fiber_count: int
@@ -95,13 +103,8 @@ def bps_table(m: Marking) -> list[BPSRecord]:
     The closure yields only positive roots, so each white part is taken
     directly, without :func:`project`'s check that its argument is a root.
     """
-    order = m.white_order
-    if len(order) > 1:
-        white = itemgetter(*order)
-    else:  # itemgetter of one index returns a scalar, so one or no white nodes read a slice
-        white = itemgetter(slice(order[0], order[0] + 1) if order else slice(0))
-    fibers = Counter(map(white, enumerate_positive_roots(m.diagram)))
-    fibers.pop((0,) * len(order), None)
+    fibers = Counter(map(tuple_getter(m.white_order), enumerate_positive_roots(m.diagram)))
+    fibers.pop((0,) * len(m.white_order), None)
     halves = {n: Fraction(n, 2) for n in set(fibers.values())}  # a fiber count takes few values
     return [BPSRecord(cls, n, halves[n]) for cls, n in sorted(fibers.items())]
 
@@ -119,7 +122,7 @@ def lift(cls: CurveClass, m: Marking) -> LiftedDivisor:
     """Assign each black node ceil(k/2) of its white-neighbour sum k.
 
     Each delta entry is then k - 2*ceil(k/2), i.e. 0 or -1; this needs the
-    black set to be pairwise non-adjacent.
+    black set to be pairwise non-adjacent.  Reads the marking's lift plan.
     """
     if len(cls) != len(m.white_order):
         raise ValueError("class length does not match the number of white nodes")
@@ -127,20 +130,19 @@ def lift(cls: CurveClass, m: Marking) -> LiftedDivisor:
         raise ValueError("class must be effective")
     if not any(cls):
         raise ValueError("zero class has no lift")
-    if not m.black_is_independent():
+    if m._lift_plan is None:
         raise ValueError("adjacent black nodes: lift is not defined")
-    d = m.diagram
-    full = [0] * d.rank
+    rank, blacks, edges = m._lift_plan
+    full = [0] * rank
     for node, mult in zip(m.white_order, cls):
         full[node] = mult
     ks = []
-    for b in m.black_order:
-        kj = sum(full[nb] for nb in d.neighbors(b))  # neighbours of black are white
+    for b, nbs in blacks:  # neighbours of black are white
+        kj = sum([full[nb] for nb in nbs])
         full[b] = (kj + 1) // 2
         ks.append(kj)
-    full_t = tuple(full)
-    delta = tuple(kj - 2 * full_t[b] for kj, b in zip(ks, m.black_order))
-    return LiftedDivisor(full_t, tuple(ks), delta, -cartan_pairing(d, full_t, full_t))
+    square = 2 * (sum([full[i] * full[j] for i, j in edges]) - sum([x * x for x in full]))  # -C(v, v)
+    return LiftedDivisor(tuple(full), tuple(ks), tuple(-(kj & 1) for kj in ks), square)
 
 
 # -- marking file format -------------------------------------------------

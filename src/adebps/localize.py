@@ -22,28 +22,29 @@ triples summing to minus the canonical weight, known images and labels,
 at most two incidences per surface point with weights among its tangent
 weights, nonzero normal weights, two fixed ends with cancelling
 along-curve weights for each divisor that is not a fixed curve (which
-never appears in incidence data), one crossing weight per fixed curve,
-and no degenerate fixed point.  Every entry point runs it, so bad data
-raises DescriptorError before any class is localized;
-``validate_descriptor`` adds only the two soft warnings.  Per class,
-restriction is integer sums over the lift: the key of a threefold point
-p is its tangent weights, (tangent weights, weight) for each surface
-point over p, and (weight, degree, normal weight, self-intersection)
-for each fixed curve over p.  The residue algebra ``_point_sums`` is a
-pure function of the key, so its memo returns exactly what a fresh
-computation would.  A class's total is certified over the common
-denominator D of its point contributions: ``_point_split`` memoizes, by
-(key, D), the split N_p = P_p * D + R_p of each contribution, the total
-is the sum of the P_p, and it is integral exactly when the R_p cancel.
+never appears in incidence data), crossing weights equal to the crossed
+fixed curve's normal weight, and no degenerate fixed point.  Every entry
+point runs it, so bad data raises DescriptorError before any class is
+localized; ``validate_descriptor`` adds only the two soft warnings.  It
+also compiles each threefold point p: a getter of its support (the lift
+entries it reads) and a plan that turns those into p's key, namely its
+tangent weights, (tangent weights, weight) per surface point and
+(weight, degree, normal weight, self-intersection) per fixed curve over
+p.  Per class, a point is one getter call and one lookup in the memo
+``_point_record`` of (key, ch_p, contribution) by (plan, support
+values), whose misses read ``_point_sums`` by key.  The total is
+certified over the common denominator D: ``_point_split`` memoizes, by
+(key, D), each contribution's split N_p = P_p * D + R_p, the total is
+the sum of the P_p, and it is integral exactly when the R_p cancel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift
+from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift, tuple_getter
 from .symring import (
     EulerClass,
     LaurentPoly,
@@ -57,10 +58,10 @@ from .symring import (
     times_expfactors,
 )
 
-#: distinct point keys kept by the residue memo, and (point key, common
-#: denominator) pairs kept by the split memo; one loc-sweep pass needs 111
-#: and about 160
-_POINT_SUMS_MAXSIZE = 1024
+#: distinct point keys kept by the residue memo, (point key, common denominator)
+#: pairs kept by the split memo, and (plan, support values) pairs kept by the
+#: record memo; one loc-sweep pass needs 111, about 160 and 286
+_POINT_SUMS_MAXSIZE, _POINT_RECORDS_MAXSIZE = 1024, 4096
 #: (descriptor, marking) pairs kept resolved; a process usually holds one
 _RESOLVE_MAXSIZE = 8
 
@@ -117,20 +118,18 @@ def _node_of(label: str, labels: dict[str, int]) -> int:
 
 
 @lru_cache(maxsize=_RESOLVE_MAXSIZE)
-def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple[tuple, tuple]]:
-    """Each threefold point with what lies over it, every label a node index.
+def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
+    """Each threefold point p, compiled: (surface points, fixed curves, read, plan).
 
-    A surface point comes with its weight as a linear form in the lift,
-    ((node, coefficient), ...), a fixed curve with the forms of its weight
-    (multiplicity times minus the transverse weight: the along-curve one
-    is 0) and its degree (its Cartan row).  Raises DescriptorError, in this
-    order, on: names that are not unique across all components; threefold
-    tangent triples not summing to minus the canonical weight; unknown
-    images and labels; more than two divisors through a surface point, or
-    an incidence weight not among its tangent weights; normal weight 0; a
-    divisor other than a fixed curve without exactly two fixed ends whose
-    along-curve weights cancel, or a fixed curve in incidence data;
-    disagreeing crossing weights; and a degenerate fixed point with
+    ``read(lft.full)`` gives p's support values and ``plan(values)`` its
+    key.  Raises DescriptorError, in this order, on: names that are not
+    unique across all components; threefold tangent triples not summing
+    to minus the canonical weight; unknown images and labels; more than
+    two divisors through a surface point, or an incidence weight not
+    among its tangent weights; normal weight 0; a divisor other than a
+    fixed curve without exactly two fixed ends whose along-curve weights
+    cancel, or a fixed curve in incidence data; a crossing weight other
+    than the curve's normal weight; and a degenerate fixed point with
     something over it.
     """
     labels = divisor_labels(m)
@@ -177,28 +176,38 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple[tuple, tup
         elif sum(got) != 0:
             raise DescriptorError(f"divisor {label}: end weights {got} do not cancel")
     for e in g.s_curves:
-        crossings = {inc.weight for inc in e.incidences} or {e.normal_weight}
+        crossings = {inc.weight for inc in e.incidences} | {e.normal_weight}
         if len(crossings) > 1:
             raise DescriptorError(f"inconsistent crossing weights on {e.name!r}: {sorted(crossings)}")
         node = labels[e.name]
-        degree = ((node, 2), *((j, -1) for j in m.diagram.neighbors(node)))
-        over[g.y_point(e.image)][1].append((e, ((node, -crossings.pop()),), degree))
+        over[g.y_point(e.image)][1].append((e, (node, *m.diagram.neighbors(node))))
     for x in [*g.s_points, *(p for p, (points, curves) in over.items() if points or curves)]:
         if 0 in x.weights:
             raise DescriptorError(f"{x.name}: tangent weight 0: degenerate fixed point")
-    return {p: (tuple(points), tuple(curves)) for p, (points, curves) in over.items()}
+    plans = {}
+    for p, (points, curves) in over.items():
+        support = sorted({j for _, form in points for j, _ in form}.union(*(nodes for _, nodes in curves)))
+        at = support.index
+        qs = tuple((q.weights, tuple((at(j), c) for j, c in form)) for q, form in points)
+        es = tuple((tuple(map(at, nodes)), e.normal_weight, e.self_intersection) for e, nodes in curves)
+        plans[p] = (tuple(q for q, _ in points), tuple(e for e, _ in curves),
+                    tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es))
+    return plans
 
 
-def _pair(full: tuple[int, ...], form) -> int:
-    return sum(full[j] * c for j, c in form)
+def _point_key(weights, points, curves, v: tuple[int, ...]) -> tuple:
+    """The key of a threefold point for ``_point_sums``, from its support values ``v``."""
+    return (weights, tuple((t, sum([v[i] * c for i, c in form])) for t, form in points),
+            tuple((-n * v[i], 2 * v[i] - sum([v[j] for j in nbs]), n, s) for (i, *nbs), n, s in curves))
 
 
 def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict:
     """Fiber weight w_q of O(-Z) by surface point name, (w_e, d_e) by fixed curve name."""
-    full, out = lft.full, {}
-    for points, curves in _resolve(g, m).values():
-        out.update((q.name, _pair(full, form)) for q, form in points)
-        out.update((e.name, (_pair(full, w), _pair(full, d))) for e, w, d in curves)
+    out = {}
+    for points, curves, read, plan in _resolve(g, m).values():
+        _, qs, es = plan(read(lft.full))
+        out.update((q.name, w) for q, (_, w) in zip(points, qs))
+        out.update((e.name, (w, d)) for e, (w, d, _, _) in zip(curves, es))
     return out
 
 
@@ -246,64 +255,70 @@ def _point_sums(weights, points, curves) -> tuple[Quotient, Quotient]:
     return ch, times_expfactors(s.dual() * s, weights) if s else s
 
 
+class _Record(NamedTuple):
+    """A point's key, ch_p and contribution, equal and hashed by the key, which fixes the other two."""
+
+    key: tuple
+    ch: Quotient
+    contribution: Quotient
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return isinstance(other, _Record) and self.key == other.key
+
+
+@lru_cache(maxsize=_POINT_RECORDS_MAXSIZE)
+def _point_record(plan, vals: tuple[int, ...]) -> _Record:
+    """The shared record of the point compiled to ``plan`` (an identity key) at support values ``vals``."""
+    key = plan(vals)
+    return _Record(key, *_point_sums(*key))
+
+
 @lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
-def _point_split(key, den: tuple) -> tuple[LaurentPoly, LaurentPoly]:
-    """(P_p, R_p) with N_p = P_p + R_p / D for the contribution N_p of the point with this key.
+def _point_split(record: _Record, den: tuple) -> tuple[LaurentPoly, LaurentPoly]:
+    """(P_p, R_p) with N_p = P_p + R_p / D for the contribution N_p of a point record.
 
     ``den`` is D as sorted (k, e_k) pairs.  Callers share the returned
     polynomials and must not modify them.
     """
-    return divide_with_remainder(_point_sums(*key)[1], dict(den))
-
-
-def _point_keys(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
-    """(p, key of p) for each threefold point p: the integers its residue sums read."""
-    full = lft.full
-    for p, (points, curves) in _resolve(g, m).items():
-        qs = tuple((q.weights, _pair(full, form)) for q, form in points)
-        es = tuple((_pair(full, w), _pair(full, d), e.normal_weight, e.self_intersection)
-                   for e, w, d in curves)
-        yield p, (p.weights, qs, es)
-
-
-def _all_point_sums(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking):
-    """(p, (ch_p, contribution of p)) for each threefold point p, from p's key."""
-    return ((p, _point_sums(*key)) for p, key in _point_keys(lft, g, m))
+    return divide_with_remainder(record.contribution, dict(den))
 
 
 def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Residue summand of one isolated surface point, image prefactor included."""
-    for p, (points, _) in _resolve(g, m).items():
-        for q2, form in points:
-            if q2 == q:
-                residue = _point_residue(_pair(lft.full, form), q.weights)
-                return times_expfactors(residue, (-w for w in p.weights))
+    for p, (points, _, read, plan) in _resolve(g, m).items():
+        if q in points:
+            tangent, w = plan(read(lft.full))[1][points.index(q)]
+            return times_expfactors(_point_residue(w, tangent), (-t for t in p.weights))
     raise DescriptorError(f"unknown point {q.name!r}")
 
 
 def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    for q, key in _point_keys(lft, g, m):
+    for q, (_, _, read, plan) in _resolve(g, m).items():
         if q == p:
-            return _point_sums(*key)[0]
+            return _point_record(plan, read(lft.full)).ch
     raise DescriptorError(f"unknown fixed point {p.name!r}")
 
 
-def _certified_sum(parts) -> VirtualCharacter:
-    """The sum of (point key, contribution) pairs, certified integral.
+def _certified_sum(records) -> VirtualCharacter:
+    """The sum of the point records' contributions, certified integral.
 
     Over the common denominator D of the nonzero contributions, each
     splits as P_p + R_p / D; the total is the sum of the P_p, and D
     divides the sum of the numerators exactly when the R_p cancel.
     """
-    parts = [(key, c) for key, c in parts if c]
-    den = tuple(sorted(common_denominator(c for _, c in parts).items()))
-    total: dict[int, int] = {}
-    rest: dict[int, int] = {}
-    for key, _ in parts:
-        for acc, poly in zip((total, rest), _point_split(key, den)):
-            for w, c in poly.coeffs.items():
-                acc[w] = acc.get(w, 0) + c
+    records = [r for r in records if r.contribution]
+    den = tuple(sorted(common_denominator(r.contribution for r in records).items()))
+    total, rest = {}, {}  # the sums of the P_p and of the R_p
+    for r in records:
+        quo, rem = _point_split(r, den)
+        for w, c in quo.coeffs.items():
+            total[w] = total.get(w, 0) + c
+        for w, c in rem.coeffs.items():
+            rest[w] = rest.get(w, 0) + c
     if any(rest.values()):
         raise ValueError("not a polynomial: the remainders over the common denominator do not cancel")
     return LaurentPoly._raw({w: c for w, c in total.items() if c})
@@ -316,7 +331,8 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    return _certified_sum((key, _point_sums(*key)[1]) for _, key in _point_keys(lft, g, m))
+    full = lft.full
+    return _certified_sum([_point_record(plan, read(full)) for *_, read, plan in _resolve(g, m).values()])
 
 
 class ExtDecomposition(NamedTuple):
@@ -334,13 +350,20 @@ def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposit
     """
     if chi.coefficient(0) != 1:
         raise ValueError(f"weight-0 part of chi is {chi.coefficient(0)}, expected 1")
-    rest = chi - VirtualCharacter({0: 1}) + VirtualCharacter({serre_weight: 1})
-    if rest.coefficient(0) != 0:
+    if serre_weight == 0:  # the Serre part lands on weight 0, where the unit part was removed
         raise ValueError("weight-0 residue after removing unit and Serre parts")
-    ext2, ext1 = rest.split()
-    if ext1.dim() != ext2.dim():
-        raise ValueError(f"dimension mismatch: dim ext1 {ext1.dim()} != dim ext2 {ext2.dim()}")
-    return ExtDecomposition(ext1=ext1, ext2=ext2)
+    ext1, ext2 = {}, ({} if serre_weight in chi.coeffs else {serre_weight: 1})  # chi - 1 + mu^serre
+    for w, c in chi.coeffs.items():  # one pass, split by sign
+        if w == serre_weight:
+            c += 1
+        if c > 0 and w:
+            ext2[w] = c
+        elif c < 0:
+            ext1[w] = -c
+    dim1, dim2 = sum(ext1.values()), sum(ext2.values())
+    if dim1 != dim2:
+        raise ValueError(f"dimension mismatch: dim ext1 {dim1} != dim ext2 {dim2}")
+    return ExtDecomposition(LaurentPoly._raw(ext1), LaurentPoly._raw(ext2))
 
 
 class LocalizationResult(NamedTuple):
@@ -361,15 +384,15 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    sums = [(p, key, *_point_sums(*key)) for p, key in _point_keys(lft, g, m)]
-    chi = _certified_sum((key, c) for _, key, _, c in sums)
+    records = [(p, _point_record(plan, read(lft.full))) for p, (*_, read, plan) in _resolve(g, m).items()]
+    chi = _certified_sum(r for _, r in records)
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
     e1 = euler_class(ext.ext1)
     e2 = euler_class(ext.ext2)
     if e2.degree != e1.degree:
         raise ValueError("equivariant degrees of the two Euler classes do not cancel")
-    characters = {p.name: ch for p, _, ch, _ in sums}
-    contributions = {p.name: c for p, _, _, c in sums}
+    characters = {p.name: r.ch for p, r in records}
+    contributions = {p.name: r.contribution for p, r in records}
     n = Fraction(e2.scalar, e1.scalar)
     return LocalizationResult(lft, characters, contributions, chi, ext, e1, e2, n)
 

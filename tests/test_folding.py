@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -175,6 +177,23 @@ class TestLift:
         with pytest.raises(ValueError, match="adjacent black"):
             lift((1,), mk)
 
+    def test_errors_keep_their_order(self):
+        # length, then negative entries, then the zero class, then adjacent
+        # black nodes: each input breaks every later rule as well
+        adjacent = Marking(build_diagram("A", 4), frozenset({0, 1}), (2, 3))
+        for cls, fault in (((0, -1, 0), "class length"), ((0, -1), "effective"),
+                           ((0, 0), "zero class"), ((1, 0), "adjacent black")):
+            with pytest.raises(ValueError, match=fault):
+                lift(cls, adjacent)
+        assert adjacent._lift_plan is None and not adjacent.black_is_independent()
+        # a copy, a pickle and _replace rebuild the plan with the marking
+        m = e8_a5_marking()
+        for other in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), m._replace()):
+            assert other._lift_plan == m._lift_plan and lift((3, 5, 4, 3), other) == lift((3, 5, 4, 3), m)
+        # and a marking rebuilt with adjacent black nodes n1, n2 has none
+        with pytest.raises(ValueError, match="adjacent black"):
+            lift((1, 0, 0), m._replace(black=frozenset({0, 1, 2, 4, 6}), white_order=(3, 5, 7)))
+
     def test_table_image_lifts(self, m, table):
         for rec in table:
             lft = lift(rec.cls, m)
@@ -275,6 +294,39 @@ def _markings(draw):
     black = draw(st.sets(st.integers(0, rank - 1), max_size=rank))
     white = draw(st.permutations([i for i in range(rank) if i not in black]))
     return Marking(build_diagram(kind, rank), frozenset(black), tuple(white))
+
+
+def _lift_from_definition(cls, mk):
+    """The lift by its definition: the Cartan pairing and each black node's neighbours, read afresh."""
+    d = mk.diagram
+    full = [0] * d.rank
+    for node, mult in zip(mk.white_order, cls):
+        full[node] = mult
+    ks = [sum(full[nb] for nb in d.neighbors(b)) for b in mk.black_order]
+    for b, kj in zip(mk.black_order, ks):
+        full[b] = -(-kj // 2)
+    delta = tuple(kj - 2 * full[b] for kj, b in zip(ks, mk.black_order))
+    return tuple(full), tuple(ks), delta, -cartan_pairing(d, tuple(full), tuple(full))
+
+
+@st.composite
+def _markings_and_classes(draw):
+    """A diagram, a pairwise non-adjacent black set, a shuffled white order, and a nonzero class."""
+    d = build_diagram(*draw(st.sampled_from(_DIAGRAMS)))
+    black: set[int] = set()
+    for node in draw(st.permutations(range(d.rank))):
+        if draw(st.booleans()) and not any(nb in black for nb in d.neighbors(node)) and len(black) < d.rank - 1:
+            black.add(node)
+    white = draw(st.permutations([i for i in range(d.rank) if i not in black]))
+    cls = draw(st.tuples(*[st.integers(0, 9)] * len(white)).filter(any))
+    return Marking(d, frozenset(black), tuple(white)), cls
+
+
+@settings(max_examples=60, deadline=None)
+@given(_markings_and_classes())
+def test_lift_matches_its_definition(marking_and_class):
+    mk, cls = marking_and_class
+    assert tuple(lift(cls, mk)) == _lift_from_definition(cls, mk)
 
 
 # Ranks stay small: a marking of rank r builds a diagram with r nodes.

@@ -15,8 +15,8 @@ from adebps.localize import (
     SCurve,
     SPoint,
     YPoint,
-    _all_point_sums,
-    _point_keys,
+    _certified_sum,
+    _point_record,
     _point_split,
     _point_sums,
     _resolve,
@@ -70,11 +70,11 @@ A3 = Marking(build_diagram("A", 3), frozenset({1}), (0, 2))
 
 
 def _a3_descriptors():
-    """Two A3 descriptors that pass every check, in which E1 has normal weight 3.
+    """Two A3 descriptors in which E1 has normal weight 3.
 
-    In the first, F1 and F2 cross E1 at weight 2, which no check compares
-    with the normal weight; in the second nothing crosses E1, and F1 and
-    F2 end at two more surface points instead.
+    In the first, F1 and F2 cross E1 at weight 2, which is not its normal
+    weight, so the first is rejected; in the second nothing crosses E1,
+    and F1 and F2 end at two more surface points instead.
     """
     y_points = (YPoint("P", (1, 1, 1)), YPoint("P1", (5, 1, -3)), YPoint("P2", (2, 2, -1)))
     ends = (SPoint("Q1", (3, -2), "P1", (Incidence("F1", 3),)),
@@ -135,12 +135,15 @@ class TestLineBundleData:
 
     def test_longest_root_on_curve(self, g, m, top):
         assert restriction_weights(top, g, m)["E3"] == (-6, 0)
-        # the transverse weight is read at the crossings; the normal weight
-        # stands in only for a curve that nothing crosses
+        # the curve's weight is read from its normal weight, which every
+        # crossing weight must equal: crossings at another weight are rejected
         crossed, bare = _a3_descriptors()
-        assert validate_descriptor(crossed, A3) == validate_descriptor(bare, A3) == []
-        assert restriction_weights(lift((1, 1), A3), crossed, A3)["E1"] == (-2, 0)
+        assert validate_descriptor(bare, A3) == []
         assert restriction_weights(lift((1, 1), A3), bare, A3)["E1"] == (-3, 0)
+        for call in (lambda: validate_descriptor(crossed, A3),
+                     lambda: restriction_weights(lift((1, 1), A3), crossed, A3)):
+            with pytest.raises(DescriptorError, match=r"inconsistent crossing weights on 'E1': \[2, 3\]"):
+                call()
         # on e8-a5, a crossing weight of 2, or no crossing at all, leaves the
         # divisors that cross E3 with inconsistent ends
         e = g.s_curves[0]
@@ -521,12 +524,12 @@ def test_descriptor_mutation_sweep(m, g):
             assert totals != base, f"mutant {path} goes undetected"
             outcomes["changed"].append(path)
     assert {k: len(v) for k, v in outcomes.items()} == {
-        "rejected": 89, "warned": 2, "raises": 1, "changed": 0
+        "rejected": 90, "warned": 2, "raises": 0, "changed": 0
     }
     assert outcomes["warned"] == [
         ("s_curves", 0, "self_intersection", -1), ("s_curves", 0, "self_intersection", 1)
     ]
-    assert certificate_only == [("s_curves", 0, "normal_weight", 1)]
+    assert certificate_only == []
 
 
 def _descriptor_faults(g, m, classes):
@@ -569,7 +572,7 @@ def test_rejected_mutants_raise_everywhere(m, g):
         if fault is not None:
             rejected += 1
             assert _descriptor_faults(mutant, m, classes) == {fault}, path
-    assert rejected == 89
+    assert rejected == 90
 
 
 def _edit_incidences(g, section, i, edit):
@@ -651,6 +654,68 @@ def test_record_contributions_equal_character_formula(m, g):
             assert r.contributions[p.name] == ch.dual() * ch * _todd_by_euler(p), (rec.cls, p.name)
 
 
+# -- metamorphic properties ------------------------------------------------------
+
+#: the 36 classes of the e8-a5 table, each from a positive root
+_TABLE_CLASSES = [rec.cls for rec in bps_table(e8_a5_marking())]
+_BOX_CLASSES = st.tuples(*[st.integers(0, 12)] * 4).filter(any)
+
+
+def _scaled(g, k):
+    """g with every weight times k: tangent, incidence, normal and canonical."""
+
+    def incidences(incs):
+        return tuple(Incidence(i.divisor, k * i.weight) for i in incs)
+
+    return GeometryDescriptor(
+        tuple(YPoint(y.name, tuple(k * w for w in y.weights)) for y in g.y_points),
+        tuple(SPoint(q.name, tuple(k * w for w in q.weights), q.image, incidences(q.incidences))
+              for q in g.s_points),
+        tuple(e._replace(normal_weight=k * e.normal_weight, incidences=incidences(e.incidences))
+              for e in g.s_curves),
+        k * g.canonical_weight,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-6, 12).filter(bool), _BOX_CLASSES, st.sampled_from(_TABLE_CLASSES))
+def test_scaling_every_weight_substitutes_mu_to_the_k(k, cls, root):
+    # Scaling every weight by k is the substitution mu -> mu^k: chi follows
+    # it and n stays.  The memos are warm from the unscaled descriptor first,
+    # so a record or a key that left out a weight would hand back its sum.
+    m, g = e8_a5_marking(), e8_a5_descriptor()
+    lft = lift(cls, m)
+    chi, n = total_chi(lft, g, m), localize_class(root, m, g).n
+    scaled = _scaled(g, k)
+    # the seven surface points' tangent weights sum to k, not 1
+    assert len(validate_descriptor(scaled, m)) == (0 if k == 1 else 7)
+    assert total_chi(lft, scaled, m) == VirtualCharacter({k * w: c for w, c in chi.coeffs.items()})
+    assert localize_class(root, m, scaled).n == n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(5)), st.permutations(range(7)), st.booleans(), _BOX_CLASSES,
+       st.sampled_from(_TABLE_CLASSES))
+def test_reordering_and_renaming_points_changes_nothing(ys, qs, rename, cls, root):
+    m, g = e8_a5_marking(), e8_a5_descriptor()
+    lft = lift(cls, m)
+    chi, weights, record = total_chi(lft, g, m), restriction_weights(lft, g, m), localize_class(root, m, g)
+    names = {x.name: f"{x.name[0]}x{i}" if rename else x.name for i, x in enumerate(g.y_points + g.s_points)}
+    names["E3"] = "E3"  # a fixed curve is named by its divisor label
+    moved = GeometryDescriptor(
+        tuple(YPoint(names[y.name], y.weights) for y in (g.y_points[i] for i in ys)),
+        tuple(q._replace(name=names[q.name], image=names[q.image]) for q in (g.s_points[i] for i in qs)),
+        tuple(e._replace(image=names[e.image]) for e in g.s_curves),
+        g.canonical_weight,
+    )
+    assert validate_descriptor(moved, m) == []
+    assert total_chi(lft, moved, m) == chi
+    assert restriction_weights(lft, moved, m) == {names[name]: w for name, w in weights.items()}
+    again = localize_class(root, m, moved)
+    assert (again.chi, again.ext, again.n) == (record.chi, record.ext, record.n)
+    assert again.characters == {names[name]: ch for name, ch in record.characters.items()}
+
+
 def _degenerate(g, name, weights):
     return GeometryDescriptor(
         tuple(YPoint(y.name, weights) if y.name == name else y for y in g.y_points),
@@ -691,9 +756,19 @@ def _outcome(cls, g, m):
         return repr(exc)
 
 
+def _point_records(lft, g, m):
+    """(p, record of p) for each threefold point p, as total_chi and localize_class read them."""
+    return [(p, _point_record(plan, read(lft.full))) for p, (_, _, read, plan) in _resolve(g, m).items()]
+
+
+def _clear_memos():
+    for memo in (_point_sums, _point_split, _point_record, _resolve):
+        memo.cache_clear()
+
+
 def test_point_sums_memo_is_transparent(m, g):
     # Each +-1 mutant must give the same total or the same error whether
-    # the memo is warm from the base descriptor or empty: a key that left
+    # the memos are warm from the base descriptor or empty: a key that left
     # out an integer the residue sum reads would hand back a stale sum.
     classes = [rec.cls for rec in bps_table(m)][::4]
     try:
@@ -703,36 +778,32 @@ def test_point_sums_memo_is_transparent(m, g):
             warm = [_outcome(cls, mutant, m) for cls in classes]
             cold = []
             for cls in classes:
-                _point_sums.cache_clear()
-                _point_split.cache_clear()
-                _resolve.cache_clear()
+                _clear_memos()
                 cold.append(_outcome(cls, mutant, m))
             assert warm == cold, path
     finally:
-        _point_sums.cache_clear()
-        _point_split.cache_clear()
-        _resolve.cache_clear()
+        _clear_memos()
 
 
 def test_cached_sums_are_read_only(m, g):
-    # (3,5,4,3) and (2,5,4,3) restrict alike at P3, P4 and P, so the second
-    # class reads the sums the first one stored.
+    # (3,5,4,3) and (2,5,4,3) read the same lift entries at P3, P4 and P,
+    # so the second class reads the records the first one stored.
     a, b = lift((3, 5, 4, 3), m), lift((2, 5, 4, 3), m)
-    pairs = zip(_all_point_sums(a, g, m), _all_point_sums(b, g, m))
+    pairs = zip(_point_records(a, g, m), _point_records(b, g, m))
     shared = [p.name for (p, x), (_, y) in pairs if x is y]
     assert shared == ["P3", "P4", "P"]
     _point_sums.cache_clear()
+    _point_record.cache_clear()
     first = localize_class((3, 5, 4, 3), m, g)
     text = str(first)
-    cached = {p.name: str(c) for p, (_, c) in _all_point_sums(a, g, m)}
-    cached_ch = {p.name: str(ch) for p, (ch, _) in _all_point_sums(a, g, m)}
+    cached = {p.name: str(r.contribution) for p, r in _point_records(a, g, m)}
+    cached_ch = {p.name: str(r.ch) for p, r in _point_records(a, g, m)}
     localize_class((2, 5, 4, 3), m, g)
     again = localize_class((3, 5, 4, 3), m, g)
     assert again == first and str(again) == str(first) == text
     assert {name: str(c) for name, c in first.contributions.items()} == cached
     assert {name: str(ch) for name, ch in again.characters.items()} == cached_ch
-    _point_sums.cache_clear()
-    _point_split.cache_clear()
+    _clear_memos()
     fresh = localize_class((3, 5, 4, 3), m, g)
     assert fresh == first and str(fresh) == text
     assert {name: str(c) for name, c in fresh.contributions.items()} == cached
@@ -741,47 +812,92 @@ def test_cached_sums_are_read_only(m, g):
 
 
 def test_character_at_one_point_reads_one_point(m, g):
-    # chern_character_at sums only the point asked for, cold or warm,
-    # and agrees with the record's character there
+    # chern_character_at reads only the record of the point asked for, cold
+    # or warm, and agrees with the record's character there
     for cls in ((3, 5, 4, 3), (0, 1, 0, 0), (1, 2, 2, 1)):
         lft = lift(cls, m)
         record = localize_class(cls, m, g)
         for p in g.y_points:
             _point_sums.cache_clear()
+            _point_record.cache_clear()
             cold = chern_character_at(p, lft, g, m)
-            assert _point_sums.cache_info().misses == 1
+            assert _point_record.cache_info().misses == _point_sums.cache_info().misses == 1
             assert cold == record.characters[p.name] == chern_character_at(p, lft, g, m)
             localize_class(cls, m, g)
             warm = chern_character_at(p, lft, g, m)
-            assert warm is _point_sums(*dict(_point_keys(lft, g, m))[p])[0]
+            assert warm is dict(_point_records(lft, g, m))[p].ch
             assert warm == record.characters[p.name]
         for p in (YPoint("P9", (1, 1, 1)), YPoint("P1", (1, 1, 1))):
             with pytest.raises(DescriptorError, match="unknown fixed point"):
                 chern_character_at(p, lft, g, m)
 
 
+def test_point_sums_read_only_on_record_misses(m, g):
+    # the residue memo is looked up once per record miss and nowhere else:
+    # a split miss reads the record's contribution, not _point_sums
+    _clear_memos()
+    for rec in bps_table(m):
+        localize_class(rec.cls, m, g)
+    sums, records, splits = (memo.cache_info() for memo in (_point_sums, _point_record, _point_split))
+    assert sums.hits + sums.misses == records.misses
+    assert records.misses < records.hits + records.misses == 5 * 36
+    assert splits.misses > 0 and sums.hits > 0
+
+
+def test_point_supports(m, g):
+    # P4 reads one lift entry (F4), P1 and P3 two, P2 three, P four (E3 and
+    # its neighbours), and a point with nothing over it none; every support
+    # reads a tuple, also where itemgetter of one index would give a scalar
+    lonely = GeometryDescriptor(g.y_points + (YPoint("P9", (1, 1, 1)),), g.s_points, g.s_curves)
+    top = lift((3, 5, 4, 3), m)
+    supports = {p.name: read(top.full) for p, (_, _, read, _) in _resolve(lonely, m).items()}
+    assert supports == {"P1": (2, 3), "P2": (3, 4, 5), "P3": (4, 2), "P4": (3,), "P": (5, 6, 4, 3), "P9": ()}
+    for cls in ((3, 5, 4, 3), (0, 0, 0, 1), (1, 0, 0, 0), (1, 2, 2, 1)):
+        lft = lift(cls, m)
+        seen = []
+        for _ in ("cold", "warm"):
+            if not seen:
+                _clear_memos()
+            seen.append((restriction_weights(lft, lonely, m),
+                         {p.name: chern_character_at(p, lft, lonely, m) for p in lonely.y_points},
+                         total_chi(lft, lonely, m)))
+        weights, characters, chi = seen[0]
+        assert seen[1] == seen[0]
+        assert weights == restriction_weights(lft, g, m)
+        assert characters == {**{p.name: chern_character_at(p, lft, g, m) for p in g.y_points}, "P9": 0}
+        assert chi == total_chi(lft, g, m)
+
+
 def test_remainders_that_do_not_cancel_raise(m, g):
-    # moving the normal weight of the fixed curve E3 from 1 to 2 passes the
-    # validator, but the point contributions no longer add up to a Laurent
-    # polynomial: only the remainder certificate catches it, warm or cold
+    # moving the normal weight of the fixed curve E3 from 1 to 2 used to pass
+    # every check and reach only the certificate; its crossings now reject it
     e3 = g.s_curves[0]
     assert (e3.name, e3.normal_weight) == ("E3", 1)
     bent = g._replace(s_curves=(e3._replace(normal_weight=2), *g.s_curves[1:]))
-    assert validate_descriptor(bent, m) == []
-    top = lift((3, 5, 4, 3), m)
-    total_chi(top, g, m)
-    for clear in (False, True):
-        if clear:
-            _point_sums.cache_clear()
-            _point_split.cache_clear()
-        with pytest.raises(ValueError, match="not a polynomial"):
-            total_chi(top, bent, m)
-        with pytest.raises(ValueError, match="not a polynomial"):
-            localize_class((3, 5, 4, 3), m, bent)
-    # the exact sum of the same contributions agrees: it is not a polynomial
-    total = quotient_sum(c for _, (_, c) in _all_point_sums(top, bent, m))
-    with pytest.raises(ValueError, match="not a polynomial"):
-        to_polynomial(total)
+    with pytest.raises(DescriptorError, match=r"inconsistent crossing weights on 'E3': \[1, 2\]"):
+        validate_descriptor(bent, m)
+    # the certificate itself.  Each point contribution of (3,5,4,3) is a
+    # Laurent polynomial, so dropping one leaves remainders that cancel; for
+    # (1,2,2,1) those of P1 and P2 are not.  Without P1 or P2, the exact sum
+    # of the other contributions is not a polynomial, and the remainders
+    # over their common denominator do not cancel, warm or cold; without
+    # any other point the certified sum is the exact one.
+    for cls, faulty in (((3, 5, 4, 3), set()), ((1, 2, 2, 1), {"P1", "P2"})):
+        lft = lift(cls, m)
+        for clear in (False, True):
+            for p in g.y_points:
+                if clear:
+                    _clear_memos()
+                rest = [r for q, r in _point_records(lft, g, m) if q != p]
+                exact = quotient_sum(r.contribution for r in rest)
+                if p.name not in faulty:
+                    assert _certified_sum(rest) == to_polynomial(exact)
+                    continue
+                with pytest.raises(ValueError, match="not a polynomial"):
+                    to_polynomial(exact)
+                with pytest.raises(ValueError, match="the remainders over the common denominator do not cancel"):
+                    _certified_sum(rest)
+            assert _certified_sum(r for _, r in _point_records(lft, g, m)) == total_chi(lft, g, m)
 
 
 def test_equal_descriptors_hash_alike(m, g):
