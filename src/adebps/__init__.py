@@ -30,8 +30,7 @@ _EXPORTS = {
         "highest_root", "is_positive_root",
     ),
     "symring": (
-        "EulerClass", "LaurentPoly", "Quotient", "VirtualCharacter", "euler_class",
-        "expfactor", "expfactors", "to_polynomial",
+        "EulerClass", "LaurentPoly", "Quotient", "VirtualCharacter", "euler_class", "expfactor",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

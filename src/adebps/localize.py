@@ -31,11 +31,12 @@ entries it reads) and a plan that turns those into p's key, namely its
 tangent weights, (tangent weights, weight) per surface point and
 (weight, degree, normal weight, self-intersection) per fixed curve over
 p.  Per class, a point is one getter call and one lookup in the memo
-``_point_record`` of (key, ch_p, contribution) by (plan, support
-values), whose misses read ``_point_sums`` by key.  The total is
-certified over the common denominator D: ``_point_split`` memoizes, by
-(key, D), each contribution's split N_p = P_p * D + R_p, the total is
-the sum of the P_p, and it is integral exactly when the R_p cancel.
+``_point_record`` by (plan, support values), whose misses read
+``_point_sums`` by key; both return the one shared record of a key:
+ch_p, the contribution, and the contribution's splits.  The total is
+certified over the common denominator D: each record keeps its split
+N_p = P_p * D + R_p by D, the total is the sum of the P_p, and it is
+integral exactly when the R_p cancel.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ from .symring import (
     times_expfactors,
 )
 
-#: distinct point keys kept by the residue memo, (point key, common denominator)
-#: pairs kept by the split memo, and (plan, support values) pairs kept by the
-#: record memo; one loc-sweep pass needs 111, about 160 and 286
+#: distinct point keys kept by the residue memo and (plan, support values)
+#: pairs kept by the record memo; one loc-sweep pass needs 111 and 286
 _POINT_SUMS_MAXSIZE, _POINT_RECORDS_MAXSIZE = 1024, 4096
 #: (descriptor, marking) pairs kept resolved; a process usually holds one
 _RESOLVE_MAXSIZE = 8
@@ -240,50 +240,37 @@ def _curve_residue(w: int, d: int, n: int, s: int) -> Quotient:
     return Quotient((a + a1) * b - a * b1, (-n, -n))
 
 
+class _Record(NamedTuple):
+    """A threefold point's ch_p and contribution, and the contribution's splits.
+
+    ``splits`` maps a common denominator D, as sorted (k, e_k) pairs, to
+    (P_p, R_p) with contribution = P_p + R_p / D; ``_certified_sum`` fills
+    it.  Records are shared: callers must not modify their quotients.
+    """
+
+    ch: Quotient
+    contribution: Quotient
+    splits: dict
+
+
 @lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
-def _point_sums(weights, points, curves) -> tuple[Quotient, Quotient]:
-    """(ch_p, E_p^dual * S_p^dual * S_p) of a threefold point, from its key.
+def _point_sums(weights, points, curves) -> _Record:
+    """The record (ch_p, E_p^dual * S_p^dual * S_p) of a threefold point, from its key.
 
     ch_p = E_p * S_p.  Each factor 1 - mu^w of E_p and of E_p^dual cancels
-    a power of 1 - mu^|w| in the denominator where there is one.  Callers
-    share the returned quotients and must not modify them.
+    a power of 1 - mu^|w| in the denominator where there is one.
     """
     terms = [_point_residue(w, tangent) for tangent, w in points]
     terms += [_curve_residue(*c) for c in curves]
     s = quotient_sum(terms)
     ch = times_expfactors(s, (-w for w in weights))
-    return ch, times_expfactors(s.dual() * s, weights) if s else s
-
-
-class _Record(NamedTuple):
-    """A point's key, ch_p and contribution, equal and hashed by the key, which fixes the other two."""
-
-    key: tuple
-    ch: Quotient
-    contribution: Quotient
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, _Record) and self.key == other.key
+    return _Record(ch, times_expfactors(s.dual() * s, weights) if s else s, {})
 
 
 @lru_cache(maxsize=_POINT_RECORDS_MAXSIZE)
 def _point_record(plan, vals: tuple[int, ...]) -> _Record:
     """The shared record of the point compiled to ``plan`` (an identity key) at support values ``vals``."""
-    key = plan(vals)
-    return _Record(key, *_point_sums(*key))
-
-
-@lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
-def _point_split(record: _Record, den: tuple) -> tuple[LaurentPoly, LaurentPoly]:
-    """(P_p, R_p) with N_p = P_p + R_p / D for the contribution N_p of a point record.
-
-    ``den`` is D as sorted (k, e_k) pairs.  Callers share the returned
-    polynomials and must not modify them.
-    """
-    return divide_with_remainder(record.contribution, dict(den))
+    return _point_sums(*plan(vals))
 
 
 def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
@@ -307,14 +294,18 @@ def _certified_sum(records) -> VirtualCharacter:
     """The sum of the point records' contributions, certified integral.
 
     Over the common denominator D of the nonzero contributions, each
-    splits as P_p + R_p / D; the total is the sum of the P_p, and D
-    divides the sum of the numerators exactly when the R_p cancel.
+    splits as P_p + R_p / D, read from the record or computed and kept
+    there; the total is the sum of the P_p, and D divides the sum of the
+    numerators exactly when the R_p cancel.
     """
     records = [r for r in records if r.contribution]
     den = tuple(sorted(common_denominator(r.contribution for r in records).items()))
     total, rest = {}, {}  # the sums of the P_p and of the R_p
     for r in records:
-        quo, rem = _point_split(r, den)
+        split = r.splits.get(den)
+        if split is None:
+            split = r.splits[den] = divide_with_remainder(r.contribution, dict(den))
+        quo, rem = split
         for w, c in quo.coeffs.items():
             total[w] = total.get(w, 0) + c
         for w, c in rem.coeffs.items():
@@ -389,8 +380,6 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
     e1 = euler_class(ext.ext1)
     e2 = euler_class(ext.ext2)
-    if e2.degree != e1.degree:
-        raise ValueError("equivariant degrees of the two Euler classes do not cancel")
     characters = {p.name: r.ch for p, r in records}
     contributions = {p.name: r.contribution for p, r in records}
     n = Fraction(e2.scalar, e1.scalar)
@@ -486,7 +475,7 @@ def parse_descriptor(text: str) -> GeometryDescriptor:
         if section == "Y-POINTS":
             if len(tokens) != 4:
                 raise DescriptorError(f"line {lineno}: Y point needs name and 3 weights")
-            y_points.append(YPoint(tokens[0], tuple(_int(t, lineno) for t in tokens[1:4])))
+            y_points.append(YPoint(tokens[0], tuple(_int(t, lineno) for t in tokens[1:])))
         elif section == "S-POINTS":
             if len(tokens) < 4:
                 raise DescriptorError(f"line {lineno}: S point needs name, 2 weights, image")

@@ -237,24 +237,18 @@ def enumerate_positive_roots_bruteforce(d: DynkinDiagram) -> list[RootVector]:
             if budget == 0:
                 hits.append(tuple(v))
             return
-        # pv_i (L x + s)^2 <= budget, with s = L * shift, exactly when |L x + s| <= r
+        # pv_i (L x + s)^2 <= budget, with s = L * shift, exactly when |L x + s| <= r,
+        # so every x in the range leaves a budget >= 0
         s = sum(lo[j][i] * v[j] for j in range(i + 1, n))
         r = isqrt(budget // pv[i])
         for x in range(max(0, -((r + s) // scale_low)), (r - s) // scale_low + 1):
-            rest = budget - pv[i] * (scale_low * x + s) ** 2
-            if rest >= 0:
-                v[i] = x
-                choose(i - 1, rest)
+            v[i] = x
+            choose(i - 1, budget - pv[i] * (scale_low * x + s) ** 2)
 
     choose(n - 1, 2 * scale_pivot * scale_low**2)
     return sorted(hits)
 
 
 def highest_root(d: DynkinDiagram) -> RootVector:
-    """The unique positive root that dominates all others coefficientwise."""
-    roots = _positive_roots(d)
-    best = max(roots, key=sum)
-    for r in roots:
-        if any(b < c for b, c in zip(best, r)):
-            raise ArithmeticError("no coefficientwise-maximal root found")
-    return best
+    """The unique positive root that dominates all others coefficientwise: the one of largest height."""
+    return max(_positive_roots(d), key=sum)

@@ -27,10 +27,10 @@ integer Laurent polynomials and R supported in [0, deg D): long division
 clears each weight below 0 with mu^i * D and each weight at or above
 deg D with mu^(i - deg D) * D.  The split is linear in N, so the
 remainder of a sum is the sum of the remainders, and N / D is a Laurent
-polynomial exactly when R = 0.  ``divide_with_remainder`` is that split;
-``to_polynomial`` is the same split with R required to be 0.  Rationals
-appear only in ``evaluate`` at a point and in the final ratio of Euler
-classes.  No floating point anywhere.
+polynomial exactly when R = 0.  ``divide_with_remainder`` is that split,
+and localization certifies its total with it.  Rationals appear only in
+``evaluate`` at a point and in the final ratio of Euler classes.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ class LaurentPoly:
 
     def coefficient(self, w: int) -> int:
         return self.coeffs.get(w, 0)
-
-    def dim(self) -> int:
-        return sum(self.coeffs.values())
-
-    def split(self) -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Return (positive part, minus the negative part), both with c >= 0."""
-        plus = LaurentPoly._raw({w: c for w, c in self.coeffs.items() if c > 0})
-        minus = LaurentPoly._raw({w: -c for w, c in self.coeffs.items() if c < 0})
-        return plus, minus
 
     def dual(self) -> "LaurentPoly":
         """mu -> mu^-1; on characters this is the dual representation."""
@@ -235,19 +226,11 @@ def expfactor(w: int) -> LaurentPoly:
     return LaurentPoly._raw({0: 1, w: -1} if w else {})
 
 
-def expfactors(weights: Iterable[int]) -> LaurentPoly:
-    """The product of the factors 1 - mu^w over the given weights."""
-    out = LaurentPoly.one()
-    for w in weights:
-        out = out * expfactor(w)
-    return out
-
-
 class Quotient:
     """An integer Laurent numerator over prod_k (1 - mu^k)^e_k with k > 0.
 
     ``den`` maps each k to its exponent e_k > 0.  The form is not unique
-    (no gcd is taken), so equality cross-multiplies.
+    (no gcd is taken), so equality cross-multiplies and there is no hash.
     """
 
     __slots__ = ("num", "den")
@@ -258,17 +241,15 @@ class Quotient:
         if n is None:
             raise TypeError("LaurentPoly or integer numerator expected")
         exps: dict[int, int] = {}
-        negative = 0
-        shift = 0
+        sign, shift = 1, 0
         for a in den:
             if a == 0:
                 raise ZeroDivisionError("factor 1 - mu^0 is zero")
             if a < 0:  # 1 / (1 - mu^-k) = -mu^k / (1 - mu^k)
                 a = -a
-                negative += 1
+                sign = -sign
                 shift += a
             exps[a] = exps.get(a, 0) + 1
-        sign = -1 if negative % 2 else 1
         self.num = LaurentPoly._raw({w + shift: sign * c for w, c in n.coeffs.items()})
         self.den = exps
 
@@ -303,8 +284,6 @@ class Quotient:
         if o is None:
             return NotImplemented
         return self.num * o.den_poly() == o.num * self.den_poly()
-
-    __hash__ = None  # equal quotients may have different forms
 
     def __neg__(self) -> "Quotient":
         return Quotient._raw({w: -c for w, c in self.num.coeffs.items()}, dict(self.den))
@@ -450,16 +429,6 @@ def divide_with_remainder(u: Quotient, den: Mapping[int, int]) -> tuple[LaurentP
                 a[s + j - lo] -= c * dj
     rem = {w: a[w - lo] for w in range(n) if a[w - lo]}
     return LaurentPoly._raw(quo), LaurentPoly._raw(rem)
-
-
-def to_polynomial(u: Quotient) -> VirtualCharacter:
-    """Certify that u is a Laurent polynomial: its remainder over its own denominator is 0."""
-    if not isinstance(u, Quotient):
-        raise TypeError("Quotient expected")
-    poly, rem = divide_with_remainder(u, u.den)
-    if rem:
-        raise ValueError(f"not a polynomial: remainder {rem} over the denominator")
-    return poly
 
 
 class EulerClass(NamedTuple):

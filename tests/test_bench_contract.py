@@ -120,5 +120,5 @@ def test_traced_names_resolve():
         assert adebps.localize.total_chi is not original
     finally:
         tracer.uninstall()
-    assert sorted(tracer.missing) == ["localize.curve_contribution", "symring.RatFn.new"]
+    assert sorted(tracer.missing) == ["localize.curve_contribution", "symring.RatFn.new", "symring.to_polynomial"]
     assert adebps.localize.total_chi is original

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from adebps.catalog import e8_a5_descriptor
+from adebps.catalog import e8_a5_descriptor, e8_a5_marking
 from adebps.cli import main
-from adebps.localize import format_descriptor, parse_descriptor
+from adebps.folding import format_marking
+from adebps.localize import DescriptorError, Incidence, format_descriptor, parse_descriptor, validate_descriptor
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,9 +53,9 @@ class TestRoots:
         assert [0, 1] in data["roots"]
 
     def test_csv(self, capsys):
-        code, out, _ = run(capsys, "roots", "A", "2", "--format", "csv")
+        code, out, _ = run(capsys, "roots", "A", "3", "--format", "csv")
         assert code == 0
-        assert out.splitlines()[0] == "n1,n2"
+        assert out.splitlines() == ["n1,n2,n3", "0,0,1", "0,1,0", "0,1,1", "1,0,0", "1,1,0", "1,1,1"]
 
 
 class TestTable:
@@ -153,10 +154,38 @@ class TestLocalize:
         code, _, err = run(capsys, "localize", "6,0,0,6", "--case", "e8-a5")
         assert code == 2 and "positive root" in err
 
-    def test_custom_marking_and_descriptor(self, capsys, tmp_path):
-        from adebps.catalog import e8_a5_marking
-        from adebps.folding import format_marking
+    def test_bad_class_exits_2(self, capsys):
+        code, out, err = run(capsys, "localize", "abc", "--case", "e8-a5")
+        assert code == 2 and out == ""
+        assert err == "error: bad class 'abc': expected comma-separated integers\n"
 
+    @pytest.mark.parametrize("fault, message", [
+        ("duplicate name", "component names are not unique"),
+        ("unknown curve", "unknown divisor label 'E9'"),
+        ("unknown crossing", "unknown divisor label 'F9'"),
+        ("curve in incidences", "fixed curve E3 also appears in incidence data"),
+    ])
+    def test_descriptor_check_exits_2(self, capsys, tmp_path, fault, message):
+        # each descriptor breaks one check of the resolution, which the library
+        # and the command both report; with the F9 crossing unchecked,
+        # localize 3,5,4,3 would exit 0 and print n = 1
+        g = e8_a5_descriptor()
+        e3 = g.s_curves[0]
+        broken = {
+            "duplicate name": g._replace(s_points=(*g.s_points[:-1], g.s_points[-1]._replace(name="Q3"))),
+            "unknown curve": g._replace(s_curves=(e3._replace(name="E9"),)),
+            "unknown crossing": g._replace(s_curves=(e3._replace(incidences=(*e3.incidences, Incidence("F9", 1))),)),
+            "curve in incidences": g._replace(s_curves=(e3._replace(incidences=(*e3.incidences, Incidence("E3", 1))),)),
+        }[fault]
+        with pytest.raises(DescriptorError, match=f"^{message}$"):
+            validate_descriptor(broken, e8_a5_marking())
+        mpath, dpath = tmp_path / "e8.marking", tmp_path / "broken.desc"
+        mpath.write_text(format_marking(e8_a5_marking()), encoding="utf-8")
+        dpath.write_text(format_descriptor(broken), encoding="utf-8")
+        code, out, err = run(capsys, "localize", "3,5,4,3", "--marking", str(mpath), "--descriptor", str(dpath))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_custom_marking_and_descriptor(self, capsys, tmp_path):
         mpath = tmp_path / "e8.marking"
         mpath.write_text(format_marking(e8_a5_marking()), encoding="utf-8")
         dpath = tmp_path / "e8.desc"
@@ -174,9 +203,6 @@ class TestLocalize:
         assert "--case cannot be combined" in err
 
     def test_validation_warnings_reach_stderr(self, capsys, tmp_path):
-        from adebps.catalog import e8_a5_marking
-        from adebps.folding import format_marking
-
         g = e8_a5_descriptor()
         bent = g._replace(s_curves=(g.s_curves[0]._replace(self_intersection=-1),))
         mpath = tmp_path / "e8.marking"
@@ -285,6 +311,13 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots"])
     assert exc.value.code == 2
+
+
+def test_module_runs_as_a_script():
+    # python -m adebps.cli runs main through the __main__ guard and exits with its code
+    p = run_python("-m", "adebps.cli", "roots", "A", "2")
+    assert (p.returncode, p.stdout) == (0, "0,1\n1,0\n1,1\ncount: 3\n")
+    assert run_python("-m", "adebps.cli", "roots", "D", "3").returncode == 2
 
 
 ENGINE = {"adebps.localize", "adebps.symring", "adebps.verify"}

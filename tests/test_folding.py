@@ -42,12 +42,14 @@ class TestMarking:
 
     def test_partition_enforced(self):
         d = build_diagram("A", 3)
-        with pytest.raises(ValueError):
-            Marking(d, frozenset({0}), (0, 1, 2))
-        with pytest.raises(ValueError):
-            Marking(d, frozenset({0}), (1,))
-        with pytest.raises(ValueError):
-            Marking(d, frozenset({5}), (0, 1, 2))
+        for black, white, fault in (
+            ({0}, (0, 1, 2), "overlap"),
+            ({0}, (1,), "cover all nodes"),
+            ({5}, (0, 1, 2), "out of range"),
+            ({0}, (1, 2, 2), "duplicate node in white order"),
+        ):
+            with pytest.raises(ValueError, match=fault):
+                Marking(d, frozenset(black), white)
 
 
 class TestProject:
@@ -63,8 +65,10 @@ class TestProject:
         assert project(e2, m) == (1, 0, 0, 0)
 
     def test_non_root_rejected(self, m):
-        with pytest.raises(ValueError):
-            project((2, 0, 0, 0, 0, 0, 0, 0), m)
+        # not a root; a negative root, of square 2 too; zero; the wrong length
+        for v in ((2, 0, 0, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8, (0, 1)):
+            with pytest.raises(ValueError, match="not a positive root"):
+                project(v, m)
 
 
 class TestTable:
@@ -249,6 +253,7 @@ class TestMarkingFormat:
         text = "# comment\nkind A\nrank 2\nblack n2\nwhite n1\n"
         mk = parse_marking(text)
         assert mk.diagram.kind == "A" and mk.black == frozenset({1})
+        assert parse_marking("KIND a\nRank 2\nBLACK n2\nWhite n1\n") == mk  # keys and kind in any case
 
     def test_empty_black(self):
         mk = parse_marking("kind A\nrank 1\nblack\nwhite n1\n")
@@ -278,6 +283,7 @@ class TestMarkingFormat:
             ("kind A\nrank 3\nrank 4\nblack n1\nwhite n2 n3\n", 3),
             ("kind A\nrank 3\nblack n1\n# comment\nblack n2\nwhite n2 n3\n", 5),
             ("kind A\nrank 3\nblack n1\nwhite n2 n3\nwhite n3 n2\n", 5),
+            ("kind A\nrank three\nblack n1\nwhite n2 n3\n", 2),  # bad rank
         ],
     )
     def test_overriding_input_rejected(self, text, lineno):

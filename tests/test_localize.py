@@ -1,6 +1,7 @@
 import pickle
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from adebps.localize import (
     YPoint,
     _certified_sum,
     _point_record,
-    _point_split,
     _point_sums,
     _resolve,
     bps_from_localization,
@@ -36,10 +36,11 @@ from adebps.symring import (
     LaurentPoly,
     Quotient,
     VirtualCharacter,
+    common_denominator,
+    divide_with_remainder,
     euler_class,
-    expfactors,
+    expfactor,
     quotient_sum,
-    to_polynomial,
 )
 from adebps.verify import (
     GOLDEN_CH,
@@ -110,6 +111,17 @@ class TestValidation:
         )
         with pytest.raises(DescriptorError, match="do not cancel"):
             validate_descriptor(GeometryDescriptor(g.y_points, pts, g.s_curves), m)
+
+    @pytest.mark.parametrize("incidences, fault", [
+        ("E1:-3 F1:4 F2:4", "more than two divisors through a surface point"),
+        ("E1:-3 F1:-3", r"incidence weight -3 not among tangent weights \(-3, 4\)"),  # one weight taken twice
+        ("E1:5 F1:4", r"incidence weight 5 not among tangent weights \(-3, 4\)"),
+    ])
+    def test_surface_point_incidences(self, g, m, incidences, fault):
+        incs = tuple(Incidence(label, int(w)) for label, w in (t.split(":") for t in incidences.split()))
+        pts = tuple(q._replace(incidences=incs) if q.name == "Q1'" else q for q in g.s_points)
+        with pytest.raises(DescriptorError, match=f"^Q1': {fault}$"):
+            validate_descriptor(g._replace(s_points=pts), m)
 
     def test_unknown_label(self, g, m):
         pts = g.s_points + (SPoint("Qx", (1, 0), "P1", (Incidence("F9", 1),)),)
@@ -183,12 +195,14 @@ class TestLineBundleData:
 
     def test_stray_image_raises(self, g, m):
         # a component whose image names no threefold point must not be dropped
+        # (a curve's image is checked before its normal weight)
         stray_point = SPoint("Qx", (2, -1), "P9", ())
         stray_curve = g.s_curves[0]._replace(image="Q")
         lft = lift((1, 2, 2, 1), m)
         for broken in (
             GeometryDescriptor(g.y_points, g.s_points + (stray_point,), g.s_curves),
             GeometryDescriptor(g.y_points, g.s_points, (stray_curve,)),
+            GeometryDescriptor(g.y_points, g.s_points, (stray_curve._replace(normal_weight=0),)),
         ):
             with pytest.raises(DescriptorError, match="unknown fixed point"):
                 validate_descriptor(broken, m)
@@ -244,7 +258,7 @@ class TestCharacters:
     def test_golden_point_totals(self, g, m, top):
         for p in g.y_points:
             ch = chern_character_at(p, top, g, m)
-            pref = expfactors(-w for w in p.weights)
+            pref = prod((expfactor(-w) for w in p.weights), start=LaurentPoly.one())
             assert ch.dual() * ch == GOLDEN_CONTRIBUTIONS[p.name] * pref
         assert localize_class((3, 5, 4, 3), m, g).contributions == GOLDEN_CONTRIBUTIONS
 
@@ -306,7 +320,7 @@ class TestExtDecompose:
             assert VirtualCharacter({0: 1}) - dec.ext1 + dec.ext2 - VirtualCharacter({3: 1}) == chi
 
     def test_weight_zero_residue_rejected(self):
-        with pytest.raises(ValueError, match="weight-0"):
+        with pytest.raises(ValueError, match="^weight-0 part of chi is 2, expected 1$"):
             ext_decompose(VirtualCharacter({0: 2, 3: -1}))
         with pytest.raises(ValueError, match="weight-0 residue"):
             ext_decompose(VirtualCharacter({0: 1, 3: -2}), serre_weight=0)
@@ -314,6 +328,13 @@ class TestExtDecompose:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             ext_decompose(VirtualCharacter({0: 1, 1: -1, 3: -1}))
+
+    def test_no_serre_term(self):
+        # ext2 holds mu^3 exactly when chi has no mu^3 term: -mu^3 + mu^3 cancel
+        dec = ext_decompose(VirtualCharacter({0: 1, 1: -1}))
+        assert dec == (VirtualCharacter({1: 1}), VirtualCharacter({3: 1}))
+        dec = ext_decompose(VirtualCharacter({0: 1, 1: -2, 2: 1}))
+        assert dec == (VirtualCharacter({1: 2}), VirtualCharacter({2: 1, 3: 1}))
 
 
 class TestInvariants:
@@ -354,6 +375,36 @@ class TestEulerRows:
             assert (r.euler_ext1.scalar, r.euler_ext1.degree) == row1
 
 
+_HEAD = "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\n"
+_P1 = "Y-POINTS\nP1 1 1 1\n"
+#: descriptor text -> the message of the one parse check it fails; the texts
+#: after the first eight hold every header but the one at fault
+_BAD_DESCRIPTORS = {
+    "Y-POINTS\nP1 1 1 1\n": "^descriptor must start with DESCRIPTOR-VERSION$",
+    "DESCRIPTOR-VERSION 2\n": "^unsupported descriptor version 2$",
+    "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nY-POINTS\nP1 1 1\n": "^line 4: Y point needs name and 3 weights$",
+    "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nP1 1 1 1\n": "^line 3: data outside of a section$",
+    "DESCRIPTOR-VERSION 1\nY-POINTS\nP1 1 1 1\n": "^missing CANONICAL-WEIGHT header$",
+    "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nS-POINTS\nQ1 1 2 P1 F1\n": "^line 4: bad incidence 'F1'$",
+    # a repeated header line must not silently replace the first one
+    "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nCANONICAL-WEIGHT -5\nY-POINTS\nP1 1 1 1\n":
+        "^line 3: repeated CANONICAL-WEIGHT$",
+    "DESCRIPTOR-VERSION 1\nDESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nY-POINTS\nP1 1 1 1\n":
+        "^line 2: repeated DESCRIPTOR-VERSION$",
+    "DESCRIPTOR-VERSION 2\nCANONICAL-WEIGHT -3\n" + _P1: "^unsupported descriptor version 2$",
+    "CANONICAL-WEIGHT -3\n" + _P1 + "DESCRIPTOR-VERSION 1\n": "^descriptor must start with DESCRIPTOR-VERSION$",
+    "CANONICAL-WEIGHT -3\nY-POINTS\n": "^missing DESCRIPTOR-VERSION header$",
+    _HEAD + "Y-POINTS\nP1 1 x 1\n": "^line 4: expected an integer, got 'x'$",
+    _HEAD + "Y-POINTS\nP1\n": "^line 4: Y point needs name and 3 weights$",  # a one-token row is no header
+    _HEAD + _P1 + "S-POINTS\nQ1 1 2\n": "^line 6: S point needs name, 2 weights, image$",
+    _HEAD + _P1 + "S-POINTS\nQ1 1 2 P1 F1:\n": "^line 6: bad incidence 'F1:'$",
+    _HEAD + _P1 + "S-CURVES\nE1 P1 1\n": "^line 6: S curve needs name, image, normal weight, self-intersection$",
+    _HEAD + _P1 + "S-CURVES\nE1 P1 1 -2 :1\n": "^line 6: bad incidence ':1'$",
+    _HEAD + "P1 1 1 1\n" + _P1: "^line 3: data outside of a section$",
+    _HEAD + "Y-POINTS\nS-POINTS\nQ1 1 2 P1\n": "^no Y-POINTS given$",
+}
+
+
 class TestDescriptorFormat:
     def test_roundtrip(self, g):
         assert parse_descriptor(format_descriptor(g)) == g
@@ -362,22 +413,9 @@ class TestDescriptorFormat:
         text = "# header comment\n\n" + format_descriptor(g)
         assert parse_descriptor(text) == g
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "Y-POINTS\nP1 1 1 1\n",  # missing version
-            "DESCRIPTOR-VERSION 2\n",  # unsupported version
-            "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nY-POINTS\nP1 1 1\n",  # short row
-            "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nP1 1 1 1\n",  # outside a section
-            "DESCRIPTOR-VERSION 1\nY-POINTS\nP1 1 1 1\n",  # missing canonical weight
-            "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nS-POINTS\nQ1 1 2 P1 F1\n",  # bad incidence
-            # a repeated header line must not silently replace the first one
-            "DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nCANONICAL-WEIGHT -5\nY-POINTS\nP1 1 1 1\n",
-            "DESCRIPTOR-VERSION 1\nDESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -3\nY-POINTS\nP1 1 1 1\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(_BAD_DESCRIPTORS))
     def test_bad_inputs(self, text):
-        with pytest.raises(DescriptorError):
+        with pytest.raises(DescriptorError, match=_BAD_DESCRIPTORS[text]):
             parse_descriptor(text)
 
     def test_custom_descriptor_runs(self, m, g, tmp_path):
@@ -634,7 +672,9 @@ def _chi_from_characters(lft, g, m):
     for p in g.y_points:
         ch = chern_character_at(p, lft, g, m)
         total = total + ch.dual() * ch * _todd_by_euler(p)
-    return to_polynomial(total)
+    quo, rem = divide_with_remainder(total, total.den)
+    assert not rem, "not a polynomial"
+    return quo
 
 
 @settings(max_examples=40, deadline=None)
@@ -762,7 +802,7 @@ def _point_records(lft, g, m):
 
 
 def _clear_memos():
-    for memo in (_point_sums, _point_split, _point_record, _resolve):
+    for memo in (_point_sums, _point_record, _resolve):
         memo.cache_clear()
 
 
@@ -833,15 +873,26 @@ def test_character_at_one_point_reads_one_point(m, g):
 
 
 def test_point_sums_read_only_on_record_misses(m, g):
-    # the residue memo is looked up once per record miss and nowhere else:
-    # a split miss reads the record's contribution, not _point_sums
+    # the residue memo is looked up once per record miss and nowhere else,
+    # and both hand out one shared record per key, which keeps its splits:
+    # each record read holds the split over the common denominator of its
+    # class, except a zero contribution, which is never split
     _clear_memos()
     for rec in bps_table(m):
         localize_class(rec.cls, m, g)
-    sums, records, splits = (memo.cache_info() for memo in (_point_sums, _point_record, _point_split))
+    sums, records = _point_sums.cache_info(), _point_record.cache_info()
     assert sums.hits + sums.misses == records.misses
     assert records.misses < records.hits + records.misses == 5 * 36
-    assert splits.misses > 0 and sums.hits > 0
+    assert 0 < sums.hits
+    for rec in bps_table(m):
+        lft = lift(rec.cls, m)
+        for _, _, read, plan in _resolve(g, m).values():
+            assert _point_record(plan, read(lft.full)) is _point_sums(*plan(read(lft.full)))
+        records = [r for _, r in _point_records(lft, g, m)]
+        nonzero = [r for r in records if r.contribution]
+        den = tuple(sorted(common_denominator(r.contribution for r in nonzero).items()))
+        assert all(den in r.splits for r in nonzero)
+        assert not any(r.splits for r in records if not r.contribution)
 
 
 def test_point_supports(m, g):
@@ -891,10 +942,9 @@ def test_remainders_that_do_not_cancel_raise(m, g):
                 rest = [r for q, r in _point_records(lft, g, m) if q != p]
                 exact = quotient_sum(r.contribution for r in rest)
                 if p.name not in faulty:
-                    assert _certified_sum(rest) == to_polynomial(exact)
+                    assert divide_with_remainder(exact, exact.den) == (_certified_sum(rest), 0)
                     continue
-                with pytest.raises(ValueError, match="not a polynomial"):
-                    to_polynomial(exact)
+                assert divide_with_remainder(exact, exact.den)[1]
                 with pytest.raises(ValueError, match="the remainders over the common denominator do not cancel"):
                     _certified_sum(rest)
             assert _certified_sum(r for _, r in _point_records(lft, g, m)) == total_chi(lft, g, m)

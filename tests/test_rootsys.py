@@ -17,6 +17,16 @@ from adebps.rootsys import (
 )
 
 
+#: (kind, rank) -> the message build_diagram raises
+_ILLEGAL = {
+    ("D", 3): "type D needs rank >= 4",
+    ("A", 0): "type A needs rank >= 1",
+    ("E", 5): "type E needs rank 6, 7 or 8",
+    ("E", 9): "type E needs rank 6, 7 or 8",
+    ("F", 4): "unknown kind 'F'",
+}
+
+
 class TestBuildDiagram:
     def test_a1(self):
         d = build_diagram("A", 1)
@@ -31,18 +41,27 @@ class TestBuildDiagram:
         d = build_diagram("D", 4)
         assert d.neighbors(1) == (0, 2, 3)
 
-    @pytest.mark.parametrize("kind,rank", [("D", 3), ("A", 0), ("E", 5), ("E", 9), ("F", 4)])
+    @pytest.mark.parametrize("kind,rank", list(_ILLEGAL))
     def test_illegal(self, kind, rank):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_ILLEGAL[kind, rank]):
             build_diagram(kind, rank)
 
     def test_invalid_graphs_rejected(self):
-        with pytest.raises(ValueError):
-            DynkinDiagram("A", 3, ((0, 1),))  # not a tree
-        with pytest.raises(ValueError):
-            DynkinDiagram("A", 3, ((0, 1), (0, 1)))  # duplicate edge
-        with pytest.raises(ValueError):
-            DynkinDiagram("D", 5, ((0, 1), (0, 2), (0, 3), (0, 4)))  # degree 4
+        for rank, edges, fault in (
+            (0, (), "rank must be positive"),
+            (3, ((0, 1),), "a Dynkin diagram is a tree"),
+            (3, ((0, 1), (0, 1)), r"duplicate edge \(0, 1\)"),
+            (3, ((0, 1), (2, 1), (1, 2)), r"duplicate edge \(1, 2\)"),  # the same edge reversed
+            (3, ((0, 1), (1, 3)), "bad edge"),  # out of range, above and below
+            (3, ((-1, 0), (0, 1)), "bad edge"),
+            (3, ((0, 1), (1, -1)), "bad edge"),
+            (3, ((0, 1), (2, 2)), "bad edge"),  # a self-loop
+            (4, ((0, 1), (1, 2), (2, 0)), "not connected"),  # rank - 1 edges on a cycle miss n4
+            (5, ((0, 1), (0, 2), (0, 3), (0, 4)), "node degrees"),
+            (6, ((0, 1), (1, 2), (2, 3), (1, 4), (2, 5)), "node degrees"),  # two branch nodes
+        ):
+            with pytest.raises(ValueError, match=fault):
+                DynkinDiagram("D", rank, edges)
 
     @pytest.mark.parametrize(
         "edges",
@@ -61,10 +80,10 @@ class TestBuildDiagram:
     def test_node_names(self):
         assert build_diagram("A", 3).node_names() == ("n1", "n2", "n3")
         assert node_index("n3", 8) == 2
-        with pytest.raises(ValueError):
-            node_index("x1", 8)
-        with pytest.raises(ValueError):
-            node_index("n9", 8)
+        for name, fault in (("x1", "bad node name"), ("nx", "bad node name"), ("n9", "out of range"),
+                            ("n0", "out of range")):
+            with pytest.raises(ValueError, match=fault):
+                node_index(name, 8)
 
 
 class TestCartanPairing:

@@ -1,5 +1,8 @@
+import operator
 import random
+import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +16,23 @@ from adebps.symring import (
     divide_with_remainder,
     euler_class,
     expfactor,
-    expfactors,
     quotient_sum,
     times_expfactors,
-    to_polynomial,
 )
 
 
 def poly(d):
     return LaurentPoly(d)
+
+
+def expfactors(weights):
+    """The product of the factors 1 - mu^w over the weights."""
+    return prod(map(expfactor, weights), start=LaurentPoly.one())
+
+
+def polynomial_split(u):
+    """(P, R) of u over its own denominator: u is the Laurent polynomial P exactly when R = 0."""
+    return divide_with_remainder(u, u.den)
 
 
 class TestExpfactor:
@@ -35,9 +46,14 @@ class TestExpfactor:
     def test_positive_weight(self):
         assert expfactor(3) == poly({0: 1, 3: -1})
 
+    def test_coefficient(self):
+        assert poly({1: 2, -3: -1}).coefficient(-3) == -1 and poly({1: 2}).coefficient(0) == 0
+
     def test_product_of_factors(self):
-        assert expfactors((-6, -2)) == expfactor(-6) * expfactor(-2)
-        assert expfactors(()) == LaurentPoly.one()
+        # a denominator multiplied out is the product of its factors
+        assert Quotient(1, (2, 3, 2)).den_poly() == expfactor(2) * expfactor(2) * expfactor(3)
+        assert Quotient(1, (-6, -2)).den_poly() == expfactor(6) * expfactor(2)
+        assert Quotient(1).den_poly() == LaurentPoly.one()
 
 
 class TestLaurentPoly:
@@ -45,16 +61,21 @@ class TestLaurentPoly:
         assert len({1, LaurentPoly.one()}) == 1
         assert hash(LaurentPoly.zero()) == hash(0)
         assert hash(poly({0: -7})) == hash(-7) and {poly({0: -7}): 1}[-7] == 1
+        assert len({poly({1: 2, 0: 1}), poly({0: 1, 1: 2}), poly({1: 2})}) == 2
 
     def test_no_zero_coefficients_stored(self):
         p = poly({2: 1}) - poly({2: 1})
         assert p.coeffs == {}
+        assert LaurentPoly([(1, 2), (3, 1), (1, -2)]).coeffs == {3: 1}  # a weight that sums to 0 is dropped
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             LaurentPoly({0: 0.5})
         with pytest.raises(TypeError, match="integer"):
             LaurentPoly({0: Fraction(1, 2)})
+        for w in (0.5, Fraction(1), True):
+            with pytest.raises(TypeError, match="weights must be integers"):
+                LaurentPoly({w: 1})
 
     def test_product(self):
         got = expfactor(-6) * expfactor(-2)
@@ -71,12 +92,16 @@ class TestLaurentPoly:
     def test_evaluate(self):
         p = expfactor(-2)
         assert p.evaluate(Fraction(2)) == Fraction(3, 4)
-        with pytest.raises(ZeroDivisionError):
-            p.evaluate(Fraction(0))
+        for q in (p, poly({-1: 1})):
+            with pytest.raises(ZeroDivisionError, match="negative weight at x = 0"):
+                q.evaluate(Fraction(0))
+        assert expfactor(2).evaluate(0) == 1 and LaurentPoly({1: 3}).evaluate(0) == 0
+        for x in (0.5, 2.0, True):
+            with pytest.raises(TypeError, match="exact rational expected"):
+                p.evaluate(x)
 
     def test_character_is_the_same_type(self):
         assert VirtualCharacter({0: 1, 3: -1}) == expfactor(3)
-        assert VirtualCharacter({1: 2, 2: -1}).split() == (poly({1: 2}), poly({2: 1}))
 
 
 class TestRatFn:
@@ -85,14 +110,14 @@ class TestRatFn:
     def test_self_division(self):
         u = Quotient(expfactor(1), (1,))
         assert u == 1
-        assert to_polynomial(u) == LaurentPoly.one()
+        assert polynomial_split(u) == (LaurentPoly.one(), 0)
 
     def test_two_summand_character(self):
         a = Quotient(expfactor(-10) * expfactor(3) * expfactor(-1), (4,))
         b = Quotient(expfactor(-6) * expfactor(-5) * expfactor(-1), (-4,))
         want = poly({-11: 1, -10: -1, -7: 1, -6: -1, -2: -1, 0: 1})
         assert a + b == want
-        assert to_polynomial(a + b) == want
+        assert polynomial_split(a + b) == (want, 0)
 
     def test_canonical_denominator_from_laurent(self):
         # 1 / (1 - mu^-3) = -mu^3 / (1 - mu^3): sign and monomial move up
@@ -108,6 +133,11 @@ class TestRatFn:
             Quotient(1, (0,))
         with pytest.raises(ZeroDivisionError):
             Quotient(1, (2, 0))
+        # every pole is a root of unity: evaluation there raises, next to it is exact
+        for x in (1, -1):
+            with pytest.raises(ZeroDivisionError, match=f"denominator vanishes at {x}"):
+                Quotient(1, (2,)).evaluate(x)
+        assert Quotient(1, (1,)).evaluate(-1) == Fraction(1, 2)
 
     def test_render(self):
         assert str(Quotient(1, (1,))) == "(1) / (1 - mu^1)"
@@ -119,6 +149,12 @@ class TestRatFn:
         assert u.den == {2: 2, 3: 1}
         assert u * expfactors((2, 2, 3)) == expfactor(2) * expfactor(3) + 1
 
+    def test_truth_and_hash(self):
+        # zero whatever the denominator; unhashable, since equal quotients may have different forms
+        assert not Quotient() and not Quotient(0, (2, 2)) and Quotient(1, (2,))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Quotient(1, (2,)))
+
     def test_equality_cross_multiplies(self):
         # different forms of the same function are equal
         assert Quotient(expfactor(2), (1,)) == poly({0: 1, 1: 1})
@@ -128,28 +164,31 @@ class TestRatFn:
 
 
 class TestToPolynomial:
+    """A quotient is a Laurent polynomial exactly when its remainder over its own denominator is 0."""
+
     def test_exact_division(self):
         u = Quotient(expfactor(-10), (-5,))
-        assert to_polynomial(u) == VirtualCharacter({0: 1, -5: 1})
+        assert polynomial_split(u) == (VirtualCharacter({0: 1, -5: 1}), 0)
 
     def test_non_polynomial_rejected(self):
-        with pytest.raises(ValueError, match="not a polynomial"):
-            to_polynomial(Quotient(1, (1,)))
+        assert polynomial_split(Quotient(1, (1,))) == (0, 1)
         # 1 - mu^6 is divisible by 1 - mu^2 and by 1 - mu^3, not by their product
-        with pytest.raises(ValueError, match="not a polynomial"):
-            to_polynomial(Quotient(expfactor(6), (2, 3)))
+        assert polynomial_split(Quotient(expfactor(6), (2, 3)))[1]
 
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError, match="integer"):
-            to_polynomial(Quotient(LaurentPoly({0: Fraction(1, 2)})))
+            Quotient(LaurentPoly({0: Fraction(1, 2)}))
+        for num in (Fraction(1, 2), 0.5, "1"):
+            with pytest.raises(TypeError, match="LaurentPoly or integer numerator expected"):
+                Quotient(num)
 
     def test_embedding_roundtrip(self):
         rng = random.Random(7)
         for _ in range(100):
             p = LaurentPoly({rng.randrange(-12, 13): rng.randrange(-5, 6) for _ in range(4)})
-            assert to_polynomial(Quotient(p)) == p
+            assert polynomial_split(Quotient(p)) == (p, 0)
             ks = [rng.choice([-1, 1]) * rng.randrange(1, 7) for _ in range(rng.randrange(4))]
-            assert to_polynomial(Quotient(p * expfactors(ks), ks)) == p
+            assert polynomial_split(Quotient(p * expfactors(ks), ks)) == (p, 0)
 
 
 _LAURENT = st.dictionaries(st.integers(-15, 30), st.integers(-6, 6), max_size=8).map(LaurentPoly)
@@ -159,7 +198,7 @@ _DENOMINATORS = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4
 @settings(max_examples=200, deadline=None)
 @given(_LAURENT, _LAURENT, _DENOMINATORS, st.integers(-3, 3))
 def test_division_with_remainder(n, n2, den, scale):
-    # N = P * D + R with R in [0, deg D), linear in N; R = 0 iff to_polynomial accepts N / D
+    # N = P * D + R with R in [0, deg D), linear in N; N / D is a polynomial iff R = 0
     u = Quotient._raw(n.coeffs, den)
     d = u.den_poly()
     p, r = divide_with_remainder(u, den)
@@ -168,23 +207,20 @@ def test_division_with_remainder(n, n2, den, scale):
     p2, r2 = divide_with_remainder(Quotient._raw(n2.coeffs, den), den)
     p3, r3 = divide_with_remainder(Quotient._raw((scale * n + n2).coeffs, den), den)
     assert (p3, r3) == (scale * p + p2, scale * r + r2)
-    if r:
-        with pytest.raises(ValueError, match="not a polynomial"):
-            to_polynomial(u)
-    else:
-        assert to_polynomial(u) == p
-    assert to_polynomial(Quotient._raw((n2 * d).coeffs, den)) == n2
+    assert polynomial_split(Quotient._raw((n2 * d).coeffs, den)) == (n2, 0)
     # unique: a numerator built as P * D + R, R in range, splits back into P and R
     assert divide_with_remainder(Quotient._raw((n2 * d + r2).coeffs, den), den) == (n2, r2)
     # a quotient over a smaller denominator is lifted to D first
     smaller = {k: e - 1 for k, e in den.items() if e > 1}
     pv, rv = divide_with_remainder(Quotient._raw(n.coeffs, smaller), den)
-    assert pv * d + rv == n * to_polynomial(Quotient._raw(d.coeffs, smaller))
+    assert pv * d + rv == n * polynomial_split(Quotient._raw(d.coeffs, smaller))[0]
 
 
 def test_division_needs_the_denominator_of_u():
-    with pytest.raises(ValueError, match="does not contain"):
-        divide_with_remainder(Quotient(1, (2, 2)), {2: 1})
+    # each exponent one short, or a factor missing, of u's denominator
+    for ks, den in (((2, 2), {2: 1}), ((3,), {}), ((3,), {2: 1}), ((1, 2, 2), {1: 1, 2: 1})):
+        with pytest.raises(ValueError, match="does not contain"):
+            divide_with_remainder(Quotient(1, ks), den)
     assert divide_with_remainder(Quotient(), {}) == (0, 0)
 
 
@@ -243,6 +279,28 @@ def random_poly(rng, terms=4, wmax=12, cmax=4):
 
 def random_weights(rng, most=3):
     return [rng.choice([-1, 1]) * rng.randrange(1, 7) for _ in range(rng.randrange(most + 1))]
+
+
+def test_operators_coerce_integers_on_either_side():
+    # an integer operand becomes a constant on either side, a polynomial
+    # meets a quotient through the quotient's reflected operators, and any
+    # other operand is refused by both sides, so Python raises its own
+    # TypeError for the operator and the two types, or compares unequal
+    p, u = poly({1: 2, 0: -1}), Quotient(expfactor(2), (1,))
+    assert 3 + p == p + 3 == poly({1: 2, 0: 2})
+    assert 3 - p == -(p - 3) == poly({1: -2, 0: 4})
+    assert 3 * p == p * 3 == poly({1: 6, 0: -3})
+    assert 1 + u == u + 1 == Quotient(expfactor(2) + expfactor(1), (1,))
+    assert 2 * u == u * 2 == u + u and u - 1 == Quotient(expfactor(2) - expfactor(1), (1,))
+    assert p + u == u + p == Quotient(p * expfactor(1) + expfactor(2), (1,))
+    assert p * u == u * p == Quotient(p * expfactor(2), (1,))
+    for x in (p, u):
+        assert x != "x" and x != 0.5
+        for op, sign in ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")):
+            for a, b in ((x, None), (None, x), (x, 0.5), (0.5, x)):
+                message = f"unsupported operand type(s) for {sign}: '{type(a).__name__}' and '{type(b).__name__}'"
+                with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                    op(a, b)
 
 
 def test_laurent_ring_axioms_randomized():
@@ -360,7 +418,7 @@ def test_times_expfactors_cancels_the_denominator(coeffs, ws, extra):
     # division; no factor ever adds to the degree of the denominator
     p = LaurentPoly(coeffs)
     full = times_expfactors(Quotient(p, ws), ws)
-    assert full.den == {} and full.num == p and to_polynomial(full) == p
+    assert full.den == {} and full.num == p and polynomial_split(full) == (p, 0)
 
     def degree(u):
         return sum(k * e for k, e in u.den.items())
