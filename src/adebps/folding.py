@@ -41,15 +41,15 @@ class Marking(_MarkingFields):
     """
 
     def __new__(cls, diagram: DynkinDiagram, black: frozenset[int], white_order: tuple[int, ...]):
-        self = super().__new__(cls, diagram, black, white_order)
-        nodes = set(range(diagram.rank))
-        if not set(black) <= nodes:
+        self = super().__new__(cls, diagram, frozenset(black), tuple(white_order))
+        black, white_order, nodes = self.black, self.white_order, set(range(diagram.rank))
+        if not black <= nodes:
             raise ValueError("black nodes out of range")
         if len(set(white_order)) != len(white_order):
             raise ValueError("duplicate node in white order")
-        if set(white_order) & set(black):
+        if set(white_order) & black:
             raise ValueError("black and white overlap")
-        if set(white_order) | set(black) != nodes:
+        if set(white_order) | black != nodes:
             raise ValueError("black and white must cover all nodes")
         blacks = tuple((b, diagram.neighbors(b)) for b in self.black_order)
         self._lift_plan = (diagram.rank, blacks, diagram.edges) if self.black_is_independent() else None

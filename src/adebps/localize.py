@@ -17,16 +17,11 @@ weight is constant, the along-curve direction has weight 0, and the
 restriction degree is minus the intersection number with the curve.
 
 Localization runs in three steps.  ``_resolve`` resolves a descriptor
-against a marking once and checks it: unique names, threefold tangent
-triples summing to minus the canonical weight, known images and labels,
-at most two incidences per surface point with weights among its tangent
-weights, nonzero normal weights, two fixed ends with cancelling
-along-curve weights for each divisor that is not a fixed curve (which
-never appears in incidence data), crossing weights equal to the crossed
-fixed curve's normal weight, and no degenerate fixed point.  Every entry
-point runs it, so bad data raises DescriptorError before any class is
-localized; ``validate_descriptor`` adds only the two soft warnings.  It
-also compiles each threefold point p: a getter of its support (the lift
+against a marking once and runs every hard check its docstring lists.
+Every entry point runs it, so bad data raises DescriptorError before any
+class is localized; ``validate_descriptor`` runs the same checks,
+uncached, and adds only the two soft warnings.  ``_resolve`` also
+compiles each threefold point p: a getter of its support (the lift
 entries it reads) and a plan that turns those into p's key, namely its
 tangent weights, (tangent weights, weight) per surface point and
 (weight, degree, normal weight, self-intersection) per fixed curve over
@@ -117,20 +112,11 @@ def _node_of(label: str, labels: dict[str, int]) -> int:
         raise DescriptorError(f"unknown divisor label {label!r}") from None
 
 
-@lru_cache(maxsize=_RESOLVE_MAXSIZE)
-def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
-    """Each threefold point p, compiled: (surface points, fixed curves, read, plan).
+def _checked_components(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple[list, list]]:
+    """The check walk of :func:`_resolve`, whose docstring lists its checks.
 
-    ``read(lft.full)`` gives p's support values and ``plan(values)`` its
-    key.  Raises DescriptorError, in this order, on: names that are not
-    unique across all components; threefold tangent triples not summing
-    to minus the canonical weight; unknown images and labels; more than
-    two divisors through a surface point, or an incidence weight not
-    among its tangent weights; normal weight 0; a divisor other than a
-    fixed curve without exactly two fixed ends whose along-curve weights
-    cancel, or a fixed curve in incidence data; a crossing weight other
-    than the curve's normal weight; and a degenerate fixed point with
-    something over it.
+    Returns, per threefold point, its surface points with their forms
+    (node, coefficient) and its fixed curves with (node, *neighbours).
     """
     labels = divisor_labels(m)
     names = [x.name for x in (*g.y_points, *g.s_points, *g.s_curves)]
@@ -184,8 +170,26 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
     for x in [*g.s_points, *(p for p, (points, curves) in over.items() if points or curves)]:
         if 0 in x.weights:
             raise DescriptorError(f"{x.name}: tangent weight 0: degenerate fixed point")
+    return over
+
+
+@lru_cache(maxsize=_RESOLVE_MAXSIZE)
+def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
+    """Each threefold point p, compiled: (surface points, fixed curves, read, plan).
+
+    ``read(lft.full)`` gives p's support values and ``plan(values)`` its
+    key.  Raises DescriptorError, in this order, on: names that are not
+    unique across all components; threefold tangent triples not summing
+    to minus the canonical weight; unknown images and labels; more than
+    two divisors through a surface point, or an incidence weight not
+    among its tangent weights; normal weight 0; a divisor other than a
+    fixed curve without exactly two fixed ends whose along-curve weights
+    cancel, or a fixed curve in incidence data; a crossing weight other
+    than the curve's normal weight; and a degenerate fixed point with
+    something over it.
+    """
     plans = {}
-    for p, (points, curves) in over.items():
+    for p, (points, curves) in _checked_components(g, m).items():
         support = sorted({j for _, form in points for j, _ in form}.union(*(nodes for _, nodes in curves)))
         at = support.index
         qs = tuple((q.weights, tuple((at(j), c) for j, c in form)) for q, form in points)
@@ -400,9 +404,7 @@ def validate_descriptor(g: GeometryDescriptor, m: Marking) -> list[str]:
     Soft (returned): surface tangent weights not summing to 1, or a
     fixed curve with self-intersection other than -2.
     """
-    # uncached: a cached entry for a validated copy would make every later
-    # lookup with the original compare the two descriptors field by field
-    _resolve.__wrapped__(g, m)
+    _checked_components(g, m)
     return [f"{q.name}: tangent weights sum to {sum(q.weights)}, not 1"
             for q in g.s_points if sum(q.weights) != 1] + [
         f"{e.name}: self-intersection {e.self_intersection}, not -2"

@@ -302,6 +302,12 @@ class Quotient:
             return NotImplemented
         return self + (-o)
 
+    def __rsub__(self, other):
+        o = _as_quotient(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
     def __mul__(self, other):
         o = _as_quotient(other)
         if o is None:

@@ -51,6 +51,12 @@ class TestMarking:
             with pytest.raises(ValueError, match=fault):
                 Marking(d, frozenset(black), white)
 
+    def test_fields_stored_as_frozenset_and_tuple(self):
+        # any iterables are accepted, so the record hashes and survives the file format
+        mk = Marking(build_diagram("A", 3), {1}, iter([0, 2]))
+        assert type(mk.black) is frozenset and mk.white_order == (0, 2)
+        assert parse_marking(format_marking(mk)) == mk and hash(mk) == hash(parse_marking(format_marking(mk)))
+
 
 class TestProject:
     def test_highest_root(self, m):

@@ -975,6 +975,16 @@ def test_descriptor_resolved_once(m, g, monkeypatch):
     assert len(calls) == 1 and _resolve.cache_info().misses == 1
 
 
+
+def test_validation_compiles_nothing(m, g, monkeypatch):
+    # validate_descriptor runs the check walk alone: it builds no getter and leaves no resolution cached
+    _resolve.cache_clear()
+    monkeypatch.setattr("adebps.localize.tuple_getter", lambda indices: pytest.fail("compiled a getter"))
+    assert validate_descriptor(g, m) == []
+    with pytest.raises(DescriptorError, match="tangent weights of P1 sum to 4"):
+        validate_descriptor(g._replace(y_points=(g.y_points[0]._replace(weights=(5, 1, -2)), *g.y_points[1:])), m)
+    assert _resolve.cache_info().currsize == 0
+
 # -- parser properties ------------------------------------------------------------
 
 _NAMES = st.builds(str.__add__, st.sampled_from("PQEFxy"), st.text("PQEFxy0123'", max_size=3))

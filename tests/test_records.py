@@ -72,14 +72,19 @@ def test_every_construction_path_runs_the_checks():
         m._replace(black=frozenset({99}))
     with pytest.raises(ValueError, match="black and white overlap"):
         Marking._make((d, m.black | {m.white_order[0]}, m.white_order))
-    with pytest.raises(ValueError, match="rank-1 edges"):
+    with pytest.raises(ValueError, match="E8 needs the edges"):
         d._replace(edges=d.edges[:-1])
-    same = d._replace(edges=tuple((j, i) for i, j in reversed(d.edges)))
-    assert [same.neighbors(i) for i in range(d.rank)] == [d.neighbors(i) for i in range(d.rank)]
+    with pytest.raises(ValueError, match="E8 needs the edges"):  # the same tree, re-oriented
+        d._replace(edges=tuple((j, i) for i, j in reversed(d.edges)))
+    with pytest.raises(ValueError, match="A8 needs the edges"):
+        d._replace(kind="A")
+    with pytest.raises(ValueError, match="D8 needs the edges"):
+        DynkinDiagram._make(("D", *d[1:]))
     # a record forged past its constructor is checked again when copied or unpickled
     for forged, message in (
         (tuple.__new__(Marking, (d, frozenset({99}), m.white_order)), "black nodes out of range"),
-        (tuple.__new__(DynkinDiagram, ("A", 3, ((0, 0), (1, 2)))), "bad edge"),
+        (tuple.__new__(DynkinDiagram, ("A", 3, ((0, 0), (1, 2)))), "A3 needs the edges"),
+        (tuple.__new__(DynkinDiagram, ("A", 3, ((0, 2), (2, 1)))), "A3 needs the edges"),  # relabelled
     ):
         for round_trip in ROUND_TRIPS.values():
             with pytest.raises(ValueError, match=message):

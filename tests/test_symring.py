@@ -294,6 +294,8 @@ def test_operators_coerce_integers_on_either_side():
     assert 2 * u == u * 2 == u + u and u - 1 == Quotient(expfactor(2) - expfactor(1), (1,))
     assert p + u == u + p == Quotient(p * expfactor(1) + expfactor(2), (1,))
     assert p * u == u * p == Quotient(p * expfactor(2), (1,))
+    assert 1 - u == -(u - 1) == Quotient(expfactor(1) - expfactor(2), (1,))
+    assert p - u == -(u - p) == Quotient(p * expfactor(1) - expfactor(2), (1,))
     for x in (p, u):
         assert x != "x" and x != 0.5
         for op, sign in ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")):
