@@ -93,7 +93,8 @@ def test_noncanonical_diagrams_rejected(kind, rank, edges, message):
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 5), ("D", 4), ("D", 9), ("E", 6), ("E", 7), ("E", 8)])
 def test_constructor_accepts_the_canonical_edges(kind, rank):
     d = build_diagram(kind, rank)
-    assert DynkinDiagram(kind, rank, list(d.edges)) == d and type(d.edges) is tuple
+    built = DynkinDiagram(kind, rank, list(d.edges))
+    assert built == d and type(built.edges) is tuple
     assert build_diagram(kind.lower(), rank) == d
 
 
