@@ -18,8 +18,9 @@ from typing import NamedTuple
 from .rootsys import (
     DynkinDiagram,
     RootVector,
+    _positive_roots,
+    _unpack,
     build_diagram,
-    enumerate_positive_roots,
     is_positive_root,
     node_index,
 )
@@ -100,13 +101,17 @@ class BPSRecord(NamedTuple):
 def bps_table(m: Marking) -> list[BPSRecord]:
     """Fold all positive roots and count fibers; n = count/2 per class.
 
-    The closure yields only positive roots, so each white part is taken
-    directly, without :func:`project`'s check that its argument is a root.
+    Masks the black bytes out of the closure's packed roots, so roots with
+    one white part are one integer, and unpacks only the distinct fibers;
+    the closure yields only roots, so none needs :func:`project`'s check.
     """
-    fibers = Counter(map(tuple_getter(m.white_order), enumerate_positive_roots(m.diagram)))
-    fibers.pop((0,) * len(m.white_order), None)
+    rank = m.diagram.rank
+    white_mask = sum(0xFF << 8 * (rank - 1 - i) for i in m.white_order)
+    fibers = Counter(map(white_mask.__and__, _positive_roots(m.diagram)))
+    fibers.pop(0, None)
+    classes = map(tuple_getter(m.white_order), _unpack(fibers, rank))
     halves = {n: Fraction(n, 2) for n in set(fibers.values())}  # a fiber count takes few values
-    return [BPSRecord(cls, n, halves[n]) for cls, n in sorted(fibers.items())]
+    return [BPSRecord(cls, n, halves[n]) for cls, n in sorted(zip(classes, fibers.values()))]
 
 
 class LiftedDivisor(NamedTuple):

@@ -11,8 +11,10 @@ stay comparable across modules and files.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
 from math import isqrt, lcm
+from operator import and_
 from typing import NamedTuple
 
 RootVector = tuple[int, ...]
@@ -94,13 +96,11 @@ def build_diagram(kind: str, rank: int) -> DynkinDiagram:
 
 
 def node_index(name: str, rank: int) -> int:
-    """Parse a node label n1..n_rank to its 0-based index."""
-    if not name.startswith("n"):
+    """Parse a node label n1..n_rank (``n`` then ASCII digits) to its 0-based index."""
+    digits = name[1:]
+    if not (name.startswith("n") and digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad node name {name!r}")
-    try:
-        k = int(name[1:])
-    except ValueError:
-        raise ValueError(f"bad node name {name!r}") from None
+    k = int(digits)
     if not 1 <= k <= rank:
         raise ValueError(f"node {name!r} out of range for rank {rank}")
     return k - 1
@@ -125,50 +125,53 @@ def is_positive_root(d: DynkinDiagram, v: RootVector) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(d: DynkinDiagram) -> tuple[RootVector, ...]:
-    # Closure under adding simple roots: q(v + e_k) = q(v) + 2(Cv)_k + 2, so
-    # v + e_k is a root exactly when (Cv)_k = -1 (simply laced), and every
-    # positive root is reachable from a simple root this way.  A byte holds
-    # any ADE coefficient (at most 6) and any (Cv)_k + 1 (0 to 3); a step
-    # that would take an entry of Cv below -1 raises in the bytearray.
+def _positive_roots(d: DynkinDiagram) -> tuple[int, ...]:
+    # Closure under adding simple roots, one height at a time: q(v + e_k) =
+    # q(v) + 2(Cv)_k + 2, so v + e_k is a root exactly when (Cv)_k = -1
+    # (simply laced), and each root of height h + 1 is v + e_k for one or
+    # more roots v of height h (a dict per height keeps it once).  v and Cv
+    # are packed with a byte per node, n1 most significant, each byte of cv
+    # offset by 0x41: adding the packed column C e_k never borrows, and v
+    # extends at the bytes 0x40.  ADE roots have (Cv)_k in -1..2; an entry
+    # below -1, reached only on a diagram of infinite type, clears bit 6.
     rank = d.rank
-    nbrs = [d.neighbors(k) for k in range(rank)]
     step = [1 << 8 * (rank - 1 - k) for k in range(rank)]
-    frontier = []
-    for k in range(rank):  # each simple root e_k with column k of C, plus 1
-        col = bytearray(b"\x01" * rank)
-        col[k] = 3
-        for j in nbrs[k]:
-            col[j] = 0
-        frontier.append((step[k], bytes(col)))
-    found = set(step)
-    while frontier:
-        v, cv = frontier.pop()
-        k = cv.find(0)
-        while k >= 0:
-            u = v + step[k]
-            if u not in found:
-                cu = bytearray(cv)
-                cu[k] = 2
-                for j in nbrs[k]:
-                    cu[j] -= 1
-                found.add(u)
-                frontier.append((u, bytes(cu)))
-            k = cv.find(0, k + 1)
-    return tuple(tuple(v.to_bytes(rank, "big")) for v in sorted(found))
+    col = [2 * step[k] - sum([step[j] for j in d.neighbors(k)]) for k in range(rank)]
+    ones = sum(step)
+    level = {step[k]: 0x41 * ones + col[k] for k in range(rank)}
+    roots = []
+    while level:
+        if ~reduce(and_, level.values()) & 0x40 * ones:
+            raise ValueError("not a finite root system: an entry of Cv fell below -1")
+        roots += level
+        higher = {}
+        for v, cv in level.items():
+            cb = cv.to_bytes(rank, "big")
+            k = cb.find(0x40)
+            while k >= 0:
+                higher[v + step[k]] = cv + col[k]
+                k = cb.find(0x40, k + 1)
+        level = higher
+    return tuple(sorted(roots))
 
 
 def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
-    """All v >= 0 with v^T C v = 2, sorted lexicographically.
+    """All v >= 0 with v^T C v = 2, sorted lexicographically; a fresh list on every call.
 
-    Computed once per diagram by a closure over packed roots: each root is
-    one integer with a byte per node, n1 most significant, and carries
-    Cv + 1 as bytes.  v extends to the root v + e_k exactly at the zero
-    bytes, (Cv)_k = -1, which ``bytes.find`` locates; C(v + e_k) differs
-    from Cv only at k and the neighbours of k, so no step calls
-    :func:`cartan_pairing`, and numeric order is lexicographic order.
+    Computed once per diagram by a closure that adds simple roots one
+    height at a time to roots packed as integers, a byte per node, n1 most
+    significant, so numeric order is lexicographic order; each step adds a
+    packed column of C to the packed Cv, and ``bytes.find`` locates the k
+    with (Cv)_k = -1 where v extends.  The cache holds the packed integers,
+    which each call unpacks in one pass.
     """
-    return list(_positive_roots(d))
+    return list(_unpack(_positive_roots(d), d.rank))
+
+
+def _unpack(packed, rank: int):
+    """Packed vectors (a byte per node, n1 most significant) as tuples, in one pass."""
+    flat = b"".join(map(int.to_bytes, packed, repeat(rank), repeat("big")))
+    return zip(*[iter(flat)] * rank)
 
 
 def enumerate_positive_roots_bruteforce(d: DynkinDiagram) -> list[RootVector]:
@@ -216,5 +219,5 @@ def enumerate_positive_roots_bruteforce(d: DynkinDiagram) -> list[RootVector]:
 
 
 def highest_root(d: DynkinDiagram) -> RootVector:
-    """The unique positive root that dominates all others coefficientwise: the one of largest height."""
-    return max(_positive_roots(d), key=sum)
+    """The unique positive root that dominates all others coefficientwise, so also the lexicographically last."""
+    return tuple(_positive_roots(d)[-1].to_bytes(d.rank, "big"))

@@ -408,6 +408,27 @@ def test_bps_table_equals_naive_fold(mk):
     assert [(r.cls, r.fiber_count, r.invariant) for r in bps_table(mk)] == _naive_fold(mk)
 
 
+def _alternating(kind, rank, parity):
+    """The marking whose black nodes are one colour class of the tree's 2-colouring, white ascending."""
+    d = build_diagram(kind, rank)
+    colour = [0] * rank
+    for i, j in d.edges:  # canonical edges reach each node j from an earlier i
+        colour[j] = 1 - colour[i]
+    return Marking(d, frozenset(i for i in range(rank) if colour[i] == parity),
+                   tuple(i for i in range(rank) if colour[i] != parity))
+
+
+@pytest.mark.parametrize("kind,rank,parity", [("A", 44, 0), ("A", 44, 1), ("D", 40, 0), ("D", 40, 1)])
+def test_bps_table_equals_naive_fold_at_the_largest_ladder_ranks(kind, rank, parity):
+    mk = _alternating(kind, rank, parity)
+    assert [(r.cls, r.fiber_count, r.invariant) for r in bps_table(mk)] == _naive_fold(mk)
+    # the same white nodes in another order fold to permuted classes, sorted again
+    shuffled = mk._replace(white_order=mk.white_order[1::2] + mk.white_order[::2][::-1])
+    table = bps_table(shuffled)
+    assert [(r.cls, r.fiber_count, r.invariant) for r in table] == _naive_fold(shuffled)
+    assert all(type(r.cls) is tuple and all(type(c) is int for c in r.cls) for r in table)
+
+
 @pytest.mark.parametrize(
     "kind,rank,black,white",
     [

@@ -1,10 +1,12 @@
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from adebps.rootsys import (
     DynkinDiagram,
+    _positive_roots,
     build_diagram,
     cartan_pairing,
     enumerate_positive_roots,
@@ -47,8 +49,10 @@ class TestBuildDiagram:
     def test_node_names(self):
         assert build_diagram("A", 3).node_names() == ("n1", "n2", "n3")
         assert node_index("n3", 8) == 2
+        assert node_index("n01", 8) == 0  # leading zeros are another spelling
         for name, fault in (("x1", "bad node name"), ("nx", "bad node name"), ("n9", "out of range"),
-                            ("n0", "out of range")):
+                            ("n0", "out of range"), ("n+1", "bad node name"), ("n1_0", "bad node name"),
+                            ("n\u0663", "bad node name"), ("n", "bad node name"), ("n 1", "bad node name")):
             with pytest.raises(ValueError, match=fault):
                 node_index(name, 8)
 
@@ -203,6 +207,26 @@ def test_large_closure_sorted_unique_valid(kind, rank, count):
     assert len(roots) == count
     assert roots == sorted(set(roots))
     assert all(is_positive_root(d, v) for v in roots)
+
+
+def test_enumeration_is_a_fresh_list_of_int_tuples():
+    d = build_diagram("D", 5)
+    roots = enumerate_positive_roots(d)
+    assert type(roots) is list and all(type(v) is tuple and all(type(c) is int for c in v) for v in roots)
+    expected = list(roots)
+    roots[0] = (9,) * 5
+    roots.append((0,) * 5)
+    again = enumerate_positive_roots(d)
+    assert again == expected and again is not roots
+
+
+@pytest.mark.parametrize("rank", [3, 4, 6])
+def test_closure_rejects_an_affine_cycle(rank):
+    """The affine diagram of A_(rank-1), a cycle, has infinitely many roots; the closure must stop with an error."""
+    cycle = [((i - 1) % rank, (i + 1) % rank) for i in range(rank)]
+    d = SimpleNamespace(kind="A", rank=rank, neighbors=cycle.__getitem__)
+    with pytest.raises(ValueError, match="not a finite root system"):
+        _positive_roots.__wrapped__(d)
 
 
 def test_enumeration_is_sorted_and_valid():
