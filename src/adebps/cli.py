@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 # module level, so that `import adebps.cli` leaves the diagram layer loaded:
 # perfbench's roots-ladder child times its first operation right after it
 from .folding import Marking, bps_table, parse_marking
-from .rootsys import build_diagram, enumerate_positive_roots
+from .rootsys import build_diagram, enumerate_positive_roots, parse_int
 
 if TYPE_CHECKING:
     from .localize import GeometryDescriptor
@@ -53,7 +53,7 @@ def _load_geometry(args) -> tuple[Marking, GeometryDescriptor]:
 
 def _parse_class(text: str) -> tuple[int, ...]:
     try:
-        cls = tuple(int(t) for t in text.split(","))
+        cls = tuple(parse_int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"bad class {text!r}: expected comma-separated integers") from None
     return cls
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="enumerate the positive roots of an ADE diagram")
     p.add_argument("kind", help="A, D or E")
-    p.add_argument("rank", type=int)
+    p.add_argument("rank", type=parse_int)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.set_defaults(func=cmd_roots)
 

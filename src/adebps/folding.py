@@ -23,6 +23,7 @@ from .rootsys import (
     build_diagram,
     is_positive_root,
     node_index,
+    parse_int,
 )
 
 CurveClass = tuple[int, ...]
@@ -180,7 +181,7 @@ def parse_marking(text: str) -> Marking:
         raise ValueError("marking needs kind, rank, black and white lines")
     lineno, (rank_text,) = fields["rank"]
     try:
-        rank = int(rank_text)
+        rank = parse_int(rank_text)
     except ValueError:
         raise ValueError(f"marking line {lineno}: bad rank {rank_text!r}") from None
     d = build_diagram(fields["kind"][1][0], rank)

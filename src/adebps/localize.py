@@ -20,18 +20,17 @@ Localization runs in three steps.  ``_resolve`` resolves a descriptor
 against a marking once and runs every hard check its docstring lists.
 Every entry point runs it, so bad data raises DescriptorError before any
 class is localized; ``validate_descriptor`` runs the same checks,
-uncached, and adds only the two soft warnings.  ``_resolve`` also
-compiles each threefold point p: a getter of its support (the lift
+uncached, and adds only the two soft warnings.  ``_resolve`` also fixes
+one common denominator D of all contributions, from the weights alone,
+and compiles each threefold point p: a getter of its support (the lift
 entries it reads) and a plan that turns those into p's key, namely its
-tangent weights, (tangent weights, weight) per surface point and
+tangent weights, (tangent weights, weight) per surface point,
 (weight, degree, normal weight, self-intersection) per fixed curve over
-p.  Per class, a point is one getter call and one lookup in the memo
-``_point_record`` by (plan, support values), whose misses read
+p, and D.  Per class, a point is one getter call and one lookup in the
+memo ``_point_record`` by (plan, support values), whose misses read
 ``_point_sums`` by key; both return the one shared record of a key:
-ch_p, the contribution, and the contribution's splits.  The total is
-certified over the common denominator D: each record keeps its split
-N_p = P_p * D + R_p by D, the total is the sum of the P_p, and it is
-integral exactly when the R_p cancel.
+ch_p, the contribution, and its split N_p = P_p * D + R_p.  The total is
+the sum of the P_p, and it is integral exactly when the R_p cancel.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift, tuple_getter
+from .rootsys import parse_int
 from .symring import (
     EulerClass,
     LaurentPoly,
@@ -188,28 +188,37 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
     than the curve's normal weight; and a degenerate fixed point with
     something over it.
     """
+    over = _checked_components(g, m)
+    den = tuple(sorted(common_denominator(_point_denominator(p, *c) for p, c in over.items()).items()))
     plans = {}
-    for p, (points, curves) in _checked_components(g, m).items():
+    for p, (points, curves) in over.items():
         support = sorted({j for _, form in points for j, _ in form}.union(*(nodes for _, nodes in curves)))
         at = support.index
         qs = tuple((q.weights, tuple((at(j), c) for j, c in form)) for q, form in points)
         es = tuple((tuple(map(at, nodes)), e.normal_weight, e.self_intersection) for e, nodes in curves)
         plans[p] = (tuple(q for q, _ in points), tuple(e for e, _ in curves),
-                    tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es))
+                    tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
     return plans
 
 
-def _point_key(weights, points, curves, v: tuple[int, ...]) -> tuple:
+def _point_denominator(p: YPoint, points, curves) -> Quotient:
+    """1 over p's largest residue denominators, doubled and cancelled by its weights as ``_point_sums`` does."""
+    s = Quotient._raw({0: 1}, common_denominator(
+        [Quotient(1, q.weights) for q, _ in points] + [Quotient(1, (e.normal_weight,) * 2) for e, _ in curves]))
+    return times_expfactors(s * s, p.weights)
+
+
+def _point_key(weights, points, curves, den, v: tuple[int, ...]) -> tuple:
     """The key of a threefold point for ``_point_sums``, from its support values ``v``."""
     return (weights, tuple((t, sum([v[i] * c for i, c in form])) for t, form in points),
-            tuple((-n * v[i], 2 * v[i] - sum([v[j] for j in nbs]), n, s) for (i, *nbs), n, s in curves))
+            tuple((-n * v[i], 2 * v[i] - sum([v[j] for j in nbs]), n, s) for (i, *nbs), n, s in curves), den)
 
 
 def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict:
     """Fiber weight w_q of O(-Z) by surface point name, (w_e, d_e) by fixed curve name."""
     out = {}
     for points, curves, read, plan in _resolve(g, m).values():
-        _, qs, es = plan(read(lft.full))
+        _, qs, es, _ = plan(read(lft.full))
         out.update((q.name, w) for q, (_, w) in zip(points, qs))
         out.update((e.name, (w, d)) for e, (w, d, _, _) in zip(curves, es))
     return out
@@ -245,21 +254,17 @@ def _curve_residue(w: int, d: int, n: int, s: int) -> Quotient:
 
 
 class _Record(NamedTuple):
-    """A threefold point's ch_p and contribution, and the contribution's splits.
-
-    ``splits`` maps a common denominator D, as sorted (k, e_k) pairs, to
-    (P_p, R_p) with contribution = P_p + R_p / D; ``_certified_sum`` fills
-    it.  Records are shared: callers must not modify their quotients.
-    """
+    """ch_p and contribution = quo + rem / D of a point, rem in [0, deg D); shared, so read-only."""
 
     ch: Quotient
     contribution: Quotient
-    splits: dict
+    quo: LaurentPoly
+    rem: LaurentPoly
 
 
 @lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
-def _point_sums(weights, points, curves) -> _Record:
-    """The record (ch_p, E_p^dual * S_p^dual * S_p) of a threefold point, from its key.
+def _point_sums(weights, points, curves, den) -> _Record:
+    """The record (ch_p, E_p^dual * S_p^dual * S_p, its split by D) of a threefold point, from its key.
 
     ch_p = E_p * S_p.  Each factor 1 - mu^w of E_p and of E_p^dual cancels
     a power of 1 - mu^|w| in the denominator where there is one.
@@ -267,8 +272,8 @@ def _point_sums(weights, points, curves) -> _Record:
     terms = [_point_residue(w, tangent) for tangent, w in points]
     terms += [_curve_residue(*c) for c in curves]
     s = quotient_sum(terms)
-    ch = times_expfactors(s, (-w for w in weights))
-    return _Record(ch, times_expfactors(s.dual() * s, weights) if s else s, {})
+    c = times_expfactors(s.dual() * s, weights) if s else s
+    return _Record(times_expfactors(s, (-w for w in weights)), c, *divide_with_remainder(c, dict(den)))
 
 
 @lru_cache(maxsize=_POINT_RECORDS_MAXSIZE)
@@ -297,22 +302,17 @@ def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: 
 def _certified_sum(records) -> VirtualCharacter:
     """The sum of the point records' contributions, certified integral.
 
-    Over the common denominator D of the nonzero contributions, each
-    splits as P_p + R_p / D, read from the record or computed and kept
-    there; the total is the sum of the P_p, and D divides the sum of the
-    numerators exactly when the R_p cancel.
+    Each record holds its split P_p + R_p / D over the one D of its
+    resolution, a common multiple of the contributions' denominators (one
+    short of a factor raises in ``divide_with_remainder``).  The split is
+    unique and linear, so the total is the sum of the P_p, and D divides
+    the sum of the numerators exactly when the R_p cancel.
     """
-    records = [r for r in records if r.contribution]
-    den = tuple(sorted(common_denominator(r.contribution for r in records).items()))
     total, rest = {}, {}  # the sums of the P_p and of the R_p
     for r in records:
-        split = r.splits.get(den)
-        if split is None:
-            split = r.splits[den] = divide_with_remainder(r.contribution, dict(den))
-        quo, rem = split
-        for w, c in quo.coeffs.items():
+        for w, c in r.quo.coeffs.items():
             total[w] = total.get(w, 0) + c
-        for w, c in rem.coeffs.items():
+        for w, c in r.rem.coeffs.items():
             rest[w] = rest.get(w, 0) + c
     if any(rest.values()):
         raise ValueError("not a polynomial: the remainders over the common denominator do not cancel")
@@ -447,7 +447,7 @@ def parse_descriptor(text: str) -> GeometryDescriptor:
 
     def _int(tok: str, lineno: int) -> int:
         try:
-            return int(tok)
+            return parse_int(tok)
         except ValueError:
             raise DescriptorError(f"line {lineno}: expected an integer, got {tok!r}") from None
 

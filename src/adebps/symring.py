@@ -22,7 +22,7 @@ of its residue sum and applies it afterwards with ``times_expfactors``.
 
 Certification is division with remainder.  A denominator
 D = prod (1 - mu^k)^e_k has end coefficients 1 and +-1, so every integer
-Laurent numerator N splits uniquely as N = P * D + R with P and R
+Laurent numerator N is uniquely N = P * D + R with P and R
 integer Laurent polynomials and R supported in [0, deg D): long division
 clears each weight below 0 with mu^i * D and each weight at or above
 deg D with mu^(i - deg D) * D.  The split is linear in N, so the

@@ -216,6 +216,30 @@ class TestLocalize:
         assert err == "warning: E3: self-intersection -1, not -2\n"
         assert out.startswith("class = 1,0,0,0\n") and out.endswith("n = 2\n")
 
+    @pytest.mark.parametrize("spelling", ["+3", "\u0663", " 3", "3 "])
+    def test_class_integers_are_strict(self, capsys, spelling):
+        # int() reads each of these as 3, and the plain output would echo the raw text
+        text = f"{spelling},5,4,3"
+        code, out, err = run(capsys, "localize", text, "--case", "e8-a5")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad class {text!r}: expected comma-separated integers\n"
+
+    @pytest.mark.parametrize("rank, weight, message", [
+        ("+8", "-3", "marking line 2: bad rank '+8'"),
+        ("\u0668", "-3", "marking line 2: bad rank '\u0668'"),
+        ("8", "-\u0663", "line 5: expected an integer, got '-\u0663'"),
+        ("8", "-0_3", "line 5: expected an integer, got '-0_3'"),
+    ])
+    def test_file_integers_are_strict(self, capsys, tmp_path, rank, weight, message):
+        # a marking's rank and a descriptor's weights: int() reads each spelling as 8 or -3
+        mpath = tmp_path / "e8.marking"
+        mpath.write_text(format_marking(e8_a5_marking()).replace("rank 8", f"rank {rank}"), encoding="utf-8")
+        dpath = tmp_path / "e8.desc"
+        dpath.write_text(format_descriptor(e8_a5_descriptor()).replace("P1 5 1 -3", f"P1 5 1 {weight}"),
+                         encoding="utf-8")
+        code, out, err = run(capsys, "localize", "3,5,4,3", "--marking", str(mpath), "--descriptor", str(dpath))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_descriptor_exits_2(self, capsys, tmp_path):
         mpath = tmp_path / "e8.marking"
         mpath.write_text("kind A\nrank 1\nblack\nwhite n1\n", encoding="utf-8")
@@ -311,6 +335,15 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["roots"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rank", ["+8", "\u0668", "8_0"])
+def test_roots_rank_is_strict(capsys, rank):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "E", rank])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument rank: invalid parse_int value: {rank!r}\n")
 
 
 def test_module_runs_as_a_script():

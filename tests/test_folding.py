@@ -290,6 +290,9 @@ class TestMarkingFormat:
             ("kind A\nrank 3\nblack n1\n# comment\nblack n2\nwhite n2 n3\n", 5),
             ("kind A\nrank 3\nblack n1\nwhite n2 n3\nwhite n3 n2\n", 5),
             ("kind A\nrank three\nblack n1\nwhite n2 n3\n", 2),  # bad rank
+            ("kind A\nrank +3\nblack n1\nwhite n2 n3\n", 2),  # int() reads each of these as 3
+            ("kind A\nrank \u0663\nblack n1\nwhite n2 n3\n", 2),
+            ("kind A\nrank 0_3\nblack n1\nwhite n2 n3\n", 2),
         ],
     )
     def test_overriding_input_rejected(self, text, lineno):

@@ -395,6 +395,11 @@ _BAD_DESCRIPTORS = {
     "CANONICAL-WEIGHT -3\n" + _P1 + "DESCRIPTOR-VERSION 1\n": "^descriptor must start with DESCRIPTOR-VERSION$",
     "CANONICAL-WEIGHT -3\nY-POINTS\n": "^missing DESCRIPTOR-VERSION header$",
     _HEAD + "Y-POINTS\nP1 1 x 1\n": "^line 4: expected an integer, got 'x'$",
+    # int() reads each of these as an integer
+    _HEAD + "Y-POINTS\nP1 1 -\u0663 1\n": "^line 4: expected an integer, got '-\u0663'$",
+    _HEAD + "Y-POINTS\nP1 +1 1 1\n": "^line 4: expected an integer, got '\\+1'$",
+    _HEAD + _P1 + "S-POINTS\nQ1 1 2 P1 F1:1_0\n": "^line 6: expected an integer, got '1_0'$",
+    "DESCRIPTOR-VERSION \u0661\n": "^line 1: expected an integer, got '\u0661'$",
     _HEAD + "Y-POINTS\nP1\n": "^line 4: Y point needs name and 3 weights$",  # a one-token row is no header
     _HEAD + _P1 + "S-POINTS\nQ1 1 2\n": "^line 6: S point needs name, 2 weights, image$",
     _HEAD + _P1 + "S-POINTS\nQ1 1 2 P1 F1:\n": "^line 6: bad incidence 'F1:'$",
@@ -731,6 +736,7 @@ def test_scaling_every_weight_substitutes_mu_to_the_k(k, cls, root):
     assert len(validate_descriptor(scaled, m)) == (0 if k == 1 else 7)
     assert total_chi(lft, scaled, m) == VirtualCharacter({k * w: c for w, c in chi.coeffs.items()})
     assert localize_class(root, m, scaled).n == n
+    assert _contains_class_den(scaled, m, lft)
 
 
 @settings(max_examples=30, deadline=None)
@@ -874,9 +880,9 @@ def test_character_at_one_point_reads_one_point(m, g):
 
 def test_point_sums_read_only_on_record_misses(m, g):
     # the residue memo is looked up once per record miss and nowhere else,
-    # and both hand out one shared record per key, which keeps its splits:
-    # each record read holds the split over the common denominator of its
-    # class, except a zero contribution, which is never split
+    # and both hand out one shared record per key, which holds its split
+    # over the resolved D: quo * D + rem is the contribution's numerator
+    # over D, and rem lies in [0, deg D)
     _clear_memos()
     for rec in bps_table(m):
         localize_class(rec.cls, m, g)
@@ -884,15 +890,57 @@ def test_point_sums_read_only_on_record_misses(m, g):
     assert sums.hits + sums.misses == records.misses
     assert records.misses < records.hits + records.misses == 5 * 36
     assert 0 < sums.hits
+    d = _den_poly(_E8_A5_DEN)
     for rec in bps_table(m):
         lft = lift(rec.cls, m)
         for _, _, read, plan in _resolve(g, m).values():
-            assert _point_record(plan, read(lft.full)) is _point_sums(*plan(read(lft.full)))
-        records = [r for _, r in _point_records(lft, g, m)]
-        nonzero = [r for r in records if r.contribution]
-        den = tuple(sorted(common_denominator(r.contribution for r in nonzero).items()))
-        assert all(den in r.splits for r in nonzero)
-        assert not any(r.splits for r in records if not r.contribution)
+            key = plan(read(lft.full))
+            r = _point_record(plan, read(lft.full))
+            assert r is _point_sums(*key) and key[-1] == _E8_A5_DEN
+            assert r.contribution * d == r.quo * d + r.rem
+            assert all(0 <= w < 21 for w in r.rem.coeffs)
+
+
+#: the resolved D of e8-a5, (1-mu)(1-mu^2)^2(1-mu^3)(1-mu^4)^2(1-mu^5), as sorted (k, e_k)
+_E8_A5_DEN = ((1, 1), (2, 2), (3, 1), (4, 2), (5, 1))
+
+
+def _den_poly(den) -> LaurentPoly:
+    """prod (1 - mu^k)^e_k over the (k, e_k) pairs, multiplied out."""
+    return Quotient(1, [k for k, e in den for _ in range(e)]).den_poly()
+
+
+def _resolved_den(g, m) -> tuple:
+    """The one D that every point key of the resolution of (g, m) carries."""
+    zero = (0,) * m.diagram.rank
+    (den,) = {plan(read(zero))[-1] for *_, read, plan in _resolve(g, m).values()}
+    return den
+
+
+def _contains_class_den(g, m, lft) -> bool:
+    """Whether the resolved D holds every factor of the class's own common denominator."""
+    den = dict(_resolved_den(g, m))
+    own = common_denominator(r.contribution for _, r in _point_records(lft, g, m) if r.contribution)
+    return all(e <= den.get(k, 0) for k, e in own.items())
+
+
+def test_resolved_denominator(m, g):
+    # D is fixed from the weights alone: at each point the residues'
+    # denominators at their largest exponents, doubled, less one factor per
+    # tangent weight, then the largest exponents over the points.  Without
+    # the doubling it misses a class's denominator; without the cancellation
+    # it is larger than this product.
+    assert _resolved_den(g, m) == _E8_A5_DEN
+    small = [c for c in product(range(4), repeat=4) if any(c)]
+    assert len(small) == 255
+    for cls in [*_TABLE_CLASSES, *small]:
+        assert _contains_class_den(g, m, lift(cls, m)), cls
+    # on e8-a5 other points supply the factor 1 - mu of the fixed curve E3;
+    # alone over P, as the one node of A1, the curve is all of D
+    a1 = Marking(build_diagram("A", 1), frozenset(), (0,))
+    curve = GeometryDescriptor((YPoint("P", (1, 1, 1)),), (), (SCurve("F1", "P", 1, -2, ()),))
+    assert _resolved_den(curve, a1) == ((1, 1),)
+    assert total_chi(lift((1,), a1), curve, a1) == VirtualCharacter({0: 1, 1: -3, 2: 3, 3: -1})
 
 
 def test_point_supports(m, g):

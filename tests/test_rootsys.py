@@ -14,6 +14,7 @@ from adebps.rootsys import (
     highest_root,
     is_positive_root,
     node_index,
+    parse_int,
 )
 
 
@@ -55,6 +56,12 @@ class TestBuildDiagram:
                             ("n\u0663", "bad node name"), ("n", "bad node name"), ("n 1", "bad node name")):
             with pytest.raises(ValueError, match=fault):
                 node_index(name, 8)
+
+    def test_parse_int_takes_a_minus_and_ascii_digits_only(self):
+        assert [parse_int(t) for t in ("0", "-0", "7", "-12", "007")] == [0, 0, 7, -12, 7]
+        for text in ("", "-", "+1", "--1", "1_0", "\u0663", "-\u0663", " 1", "1 ", "1.0", "0x1", "\uff11"):
+            with pytest.raises(ValueError, match="^not an integer: "):
+                parse_int(text)
 
 
 _E8_EDGES = build_diagram("E", 8).edges

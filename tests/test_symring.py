@@ -208,7 +208,7 @@ def test_division_with_remainder(n, n2, den, scale):
     p3, r3 = divide_with_remainder(Quotient._raw((scale * n + n2).coeffs, den), den)
     assert (p3, r3) == (scale * p + p2, scale * r + r2)
     assert polynomial_split(Quotient._raw((n2 * d).coeffs, den)) == (n2, 0)
-    # unique: a numerator built as P * D + R, R in range, splits back into P and R
+    # unique: a numerator built as P * D + R, R in range, divides back into P and R
     assert divide_with_remainder(Quotient._raw((n2 * d + r2).coeffs, den), den) == (n2, r2)
     # a quotient over a smaller denominator is lifted to D first
     smaller = {k: e - 1 for k, e in den.items() if e > 1}
