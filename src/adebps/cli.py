@@ -1,6 +1,7 @@
 """Command line: enumerate roots, fold tables, localize classes, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+141 (128 + SIGPIPE, as a shell reports it) when stdout is closed early.
 All output is deterministic; exact rationals print as p/q.
 Beyond the diagram layer (rootsys and folding), each command imports the
 modules it runs, and json and csv only where it prints them, so a short
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -130,7 +132,7 @@ def cmd_localize(args) -> int:
 
         print(json.dumps({"class": list(cls), **{key: str(value) for _, key, value in rows}}))
     else:
-        print(f"class = {args.cls}")
+        print(f"class = {','.join(map(str, cls))}")
         for label, _, value in rows:
             print(f"{label} = {value}")
     return 0
@@ -202,7 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so that a closed pipe is caught here
+        return code
+    except BrokenPipeError:  # an OSError, but no input error: the reader went away
+        # the interpreter flushes stdout again at exit: let it write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # DescriptorError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,24 +20,25 @@ Localization runs in three steps.  ``_resolve`` resolves a descriptor
 against a marking once and runs every hard check its docstring lists.
 Every entry point runs it, so bad data raises DescriptorError before any
 class is localized; ``validate_descriptor`` runs the same checks,
-uncached, and adds only the two soft warnings.  ``_resolve`` also fixes
+uncached, and adds only the one soft warning.  ``_resolve`` also fixes
 one common denominator D of all contributions, from the weights alone,
-and compiles each threefold point p: a getter of its support (the lift
-entries it reads) and a plan that turns those into p's key, namely its
-tangent weights, (tangent weights, weight) per surface point,
-(weight, degree, normal weight, self-intersection) per fixed curve over
-p, and D.  Per class, a point is one getter call and one lookup in the
-memo ``_point_record`` by (plan, support values), whose misses read
-``_point_sums`` by key; both return the one shared record of a key:
-ch_p, the contribution, and its split N_p = P_p * D + R_p.  The total is
-the sum of the P_p, and it is integral exactly when the R_p cancel.
+and compiles each threefold point p to a ``_Point`` found by name: a
+getter of its support (the lift entries it reads) and a plan that turns
+those into p's key, namely its tangent weights, (tangent weights,
+weight) per surface point, (weight, degree, normal weight,
+self-intersection) per fixed curve over p, and D.  Per class, a point
+is one getter call and one lookup in the memo ``_point_record`` by
+(plan, support values), whose misses read ``_point_sums`` by key; both
+return the one shared record of a key: ch_p, the contribution, and its
+split N_p = P_p * D + R_p.  The total is the sum of the P_p, integral
+exactly when the R_p cancel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift, tuple_getter
 from .rootsys import parse_int
@@ -151,6 +152,8 @@ def _checked_components(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple
             ends.setdefault(inc.divisor, []).append(inc.weight)
         if e.normal_weight == 0:
             raise DescriptorError(f"curve {e.name!r} has normal weight 0: not invertible")
+        if e.self_intersection != -2:  # every node of an ADE diagram is a (-2)-curve
+            raise DescriptorError(f"curve {e.name!r} has self-intersection {e.self_intersection}, not -2")
     curve_labels = {e.name for e in g.s_curves}
     for label in labels:
         got = ends.get(label, [])
@@ -173,20 +176,30 @@ def _checked_components(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple
     return over
 
 
-@lru_cache(maxsize=_RESOLVE_MAXSIZE)
-def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
-    """Each threefold point p, compiled: (surface points, fixed curves, read, plan).
+class _Point(NamedTuple):
+    """A threefold point y compiled: ``plan(read(lft.full))`` is its key for a lift."""
 
-    ``read(lft.full)`` gives p's support values and ``plan(values)`` its
-    key.  Raises DescriptorError, in this order, on: names that are not
+    y: YPoint
+    points: tuple[SPoint, ...]  # the surface points over y, in descriptor order
+    curves: tuple[SCurve, ...]  # the fixed curves over y, in descriptor order
+    read: Callable  # the lift entries y reads: its support values
+    plan: Callable  # support values -> the key of y for ``_point_sums``
+
+
+@lru_cache(maxsize=_RESOLVE_MAXSIZE)
+def _resolve(g: GeometryDescriptor, m: Marking) -> dict[str, _Point]:
+    """Each threefold point compiled to a ``_Point``, by name, in descriptor order.
+
+    Raises DescriptorError, in this order, on: names that are not
     unique across all components; threefold tangent triples not summing
     to minus the canonical weight; unknown images and labels; more than
     two divisors through a surface point, or an incidence weight not
-    among its tangent weights; normal weight 0; a divisor other than a
-    fixed curve without exactly two fixed ends whose along-curve weights
-    cancel, or a fixed curve in incidence data; a crossing weight other
-    than the curve's normal weight; and a degenerate fixed point with
-    something over it.
+    among its tangent weights; normal weight 0; a fixed curve's
+    self-intersection other than -2; a divisor other than a fixed curve
+    without exactly two fixed ends whose along-curve weights cancel, or a
+    fixed curve in incidence data; a crossing weight other than the
+    curve's normal weight; and a degenerate fixed point with something
+    over it.
     """
     over = _checked_components(g, m)
     den = tuple(sorted(common_denominator(_point_denominator(p, *c) for p, c in over.items()).items()))
@@ -196,8 +209,8 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple]:
         at = support.index
         qs = tuple((q.weights, tuple((at(j), c) for j, c in form)) for q, form in points)
         es = tuple((tuple(map(at, nodes)), e.normal_weight, e.self_intersection) for e, nodes in curves)
-        plans[p] = (tuple(q for q, _ in points), tuple(e for e, _ in curves),
-                    tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
+        plans[p.name] = _Point(p, tuple(q for q, _ in points), tuple(e for e, _ in curves),
+                               tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
     return plans
 
 
@@ -217,10 +230,10 @@ def _point_key(weights, points, curves, den, v: tuple[int, ...]) -> tuple:
 def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict:
     """Fiber weight w_q of O(-Z) by surface point name, (w_e, d_e) by fixed curve name."""
     out = {}
-    for points, curves, read, plan in _resolve(g, m).values():
-        _, qs, es, _ = plan(read(lft.full))
-        out.update((q.name, w) for q, (_, w) in zip(points, qs))
-        out.update((e.name, (w, d)) for e, (w, d, _, _) in zip(curves, es))
+    for pt in _resolve(g, m).values():
+        _, qs, es, _ = pt.plan(pt.read(lft.full))
+        out.update((q.name, w) for q, (_, w) in zip(pt.points, qs))
+        out.update((e.name, (w, d)) for e, (w, d, _, _) in zip(pt.curves, es))
     return out
 
 
@@ -284,19 +297,24 @@ def _point_record(plan, vals: tuple[int, ...]) -> _Record:
 
 def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Residue summand of one isolated surface point, image prefactor included."""
-    for p, (points, _, read, plan) in _resolve(g, m).items():
-        if q in points:
-            tangent, w = plan(read(lft.full))[1][points.index(q)]
-            return times_expfactors(_point_residue(w, tangent), (-t for t in p.weights))
-    raise DescriptorError(f"unknown point {q.name!r}")
+    pt = _resolve(g, m).get(q.image)
+    if pt is None or q not in pt.points:
+        raise DescriptorError(f"unknown point {q.name!r}")
+    tangent, w = pt.plan(pt.read(lft.full))[1][pt.points.index(q)]
+    return times_expfactors(_point_residue(w, tangent), (-t for t in pt.y.weights))
 
 
 def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
     """Restriction of the pushed-down Chern character to one threefold point."""
-    for q, (_, _, read, plan) in _resolve(g, m).items():
-        if q == p:
-            return _point_record(plan, read(lft.full)).ch
-    raise DescriptorError(f"unknown fixed point {p.name!r}")
+    pt = _resolve(g, m).get(p.name)
+    if pt is None or pt.y != p:  # a known name with other weights is not in g either
+        raise DescriptorError(f"unknown fixed point {p.name!r}")
+    return _point_record(pt.plan, pt.read(lft.full)).ch
+
+
+def _point_records(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> list[tuple[YPoint, _Record]]:
+    """(p, shared record of p) for each threefold point p, in descriptor order."""
+    return [(pt.y, _point_record(pt.plan, pt.read(lft.full))) for pt in _resolve(g, m).values()]
 
 
 def _certified_sum(records) -> VirtualCharacter:
@@ -326,8 +344,7 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    full = lft.full
-    return _certified_sum([_point_record(plan, read(full)) for *_, read, plan in _resolve(g, m).values()])
+    return _certified_sum([r for _, r in _point_records(lft, g, m)])
 
 
 class ExtDecomposition(NamedTuple):
@@ -379,11 +396,10 @@ def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Locali
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    records = [(p, _point_record(plan, read(lft.full))) for p, (*_, read, plan) in _resolve(g, m).items()]
+    records = _point_records(lft, g, m)
     chi = _certified_sum(r for _, r in records)
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
-    e1 = euler_class(ext.ext1)
-    e2 = euler_class(ext.ext2)
+    e1, e2 = euler_class(ext.ext1), euler_class(ext.ext2)
     characters = {p.name: r.ch for p, r in records}
     contributions = {p.name: r.contribution for p, r in records}
     n = Fraction(e2.scalar, e1.scalar)
@@ -399,16 +415,12 @@ def bps_from_localization(cls: CurveClass, m: Marking, g: GeometryDescriptor) ->
 
 
 def validate_descriptor(g: GeometryDescriptor, m: Marking) -> list[str]:
-    """The hard checks of ``_resolve`` (raise DescriptorError) plus soft warnings.
-
-    Soft (returned): surface tangent weights not summing to 1, or a
-    fixed curve with self-intersection other than -2.
+    """The hard checks of ``_resolve`` (raise DescriptorError) plus one soft
+    warning, returned: surface tangent weights not summing to 1.
     """
     _checked_components(g, m)
     return [f"{q.name}: tangent weights sum to {sum(q.weights)}, not 1"
-            for q in g.s_points if sum(q.weights) != 1] + [
-        f"{e.name}: self-intersection {e.self_intersection}, not -2"
-        for e in g.s_curves if e.self_intersection != -2]
+            for q in g.s_points if sum(q.weights) != 1]
 
 
 # -- descriptor file format --------------------------------------------------

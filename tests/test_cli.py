@@ -15,10 +15,14 @@ from adebps.localize import DescriptorError, Incidence, format_descriptor, parse
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _env():
+    """The environment with this checkout's ``src`` first on the module path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run_python(*args):
     """Run a fresh interpreter on this checkout's ``src``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env())
 
 
 def run(capsys, *argv):
@@ -146,6 +150,13 @@ class TestLocalize:
         assert data["chi"] == "1 + mu^1 - mu^2 - mu^3"
         assert data["n"] == "1/2"
 
+    def test_plain_output_prints_the_parsed_class(self, capsys):
+        # two spellings of one class print the same bytes, as they do in json
+        _, want, _ = run(capsys, "localize", "3,5,4,3", "--case", "e8-a5")
+        code, out, err = run(capsys, "localize", "03,5,4,3", "--case", "e8-a5")
+        assert (code, out, err) == (0, want, "")
+        assert out.startswith("class = 3,5,4,3\n")
+
     def test_zero_class_exits_2(self, capsys):
         code, _, err = run(capsys, "localize", "0,0,0,0", "--case", "e8-a5")
         assert code == 2 and "error:" in err
@@ -203,8 +214,11 @@ class TestLocalize:
         assert "--case cannot be combined" in err
 
     def test_validation_warnings_reach_stderr(self, capsys, tmp_path):
+        # Q4's tangent weights sum to 2; its end on F4, at weight 2 - 3, still cancels E3's crossing
         g = e8_a5_descriptor()
-        bent = g._replace(s_curves=(g.s_curves[0]._replace(self_intersection=-1),))
+        q4 = Incidence("F4", 3)
+        bent = g._replace(s_points=tuple(
+            q._replace(weights=(3, -1), incidences=(q4,)) if q.name == "Q4" else q for q in g.s_points))
         mpath = tmp_path / "e8.marking"
         mpath.write_text(format_marking(e8_a5_marking()), encoding="utf-8")
         dpath = tmp_path / "bent.desc"
@@ -213,7 +227,7 @@ class TestLocalize:
             capsys, "localize", "1,0,0,0", "--marking", str(mpath), "--descriptor", str(dpath)
         )
         assert code == 0
-        assert err == "warning: E3: self-intersection -1, not -2\n"
+        assert err == "warning: Q4: tangent weights sum to 2, not 1\n"
         assert out.startswith("class = 1,0,0,0\n") and out.endswith("n = 2\n")
 
     @pytest.mark.parametrize("spelling", ["+3", "\u0663", " 3", "3 "])
@@ -351,6 +365,17 @@ def test_module_runs_as_a_script():
     p = run_python("-m", "adebps.cli", "roots", "A", "2")
     assert (p.returncode, p.stdout) == (0, "0,1\n1,0\n1,1\ncount: 3\n")
     assert run_python("-m", "adebps.cli", "roots", "D", "3").returncode == 2
+
+
+def test_closed_pipe_exits_141_quietly():
+    # roots A 44 prints about 87 KB, more than a pipe holds, so the command
+    # is still writing when its reader takes one line and closes the pipe
+    p = subprocess.Popen([sys.executable, "-m", "adebps.cli", "roots", "A", "44"], bufsize=0,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    first = p.stdout.readline()
+    p.stdout.close()
+    _, err = p.communicate(timeout=60)
+    assert (p.returncode, err, first) == (141, b"", b"0," * 43 + b"1\n")
 
 
 ENGINE = {"adebps.localize", "adebps.symring", "adebps.verify"}

@@ -17,7 +17,9 @@ from adebps.localize import (
     SPoint,
     YPoint,
     _certified_sum,
+    _Point,
     _point_record,
+    _point_records,
     _point_sums,
     _resolve,
     bps_from_localization,
@@ -235,6 +237,17 @@ class TestCurveContribution:
     def test_zero_divisor(self, g, m):
         zero = LiftedDivisor((0,) * 8, (), (), 0)
         assert chern_character_at(g.y_point("P"), zero, g, m) == 0
+
+    @pytest.mark.parametrize("s", [-3, -1, 0, 2])
+    def test_self_intersection_is_fixed_by_the_marking(self, g, m, top, s):
+        # E3 is a node of E8, so a (-2)-curve; any other value is rejected
+        # everywhere instead of making the Ext split fail on most classes
+        bent = g._replace(s_curves=(g.s_curves[0]._replace(self_intersection=s),))
+        for call in (lambda: validate_descriptor(bent, m), lambda: total_chi(top, bent, m),
+                     lambda: localize_class((1, 0, 0, 0), m, bent),
+                     lambda: chern_character_at(bent.y_point("P"), top, bent, m)):
+            with pytest.raises(DescriptorError, match=f"^curve 'E3' has self-intersection {s}, not -2$"):
+                call()
 
     def test_zero_normal_weight_rejected(self, g, m, top):
         bad = SCurve("E3", "P", 0, -2, ())
@@ -567,11 +580,9 @@ def test_descriptor_mutation_sweep(m, g):
             assert totals != base, f"mutant {path} goes undetected"
             outcomes["changed"].append(path)
     assert {k: len(v) for k, v in outcomes.items()} == {
-        "rejected": 90, "warned": 2, "raises": 0, "changed": 0
+        "rejected": 92, "warned": 0, "raises": 0, "changed": 0
     }
-    assert outcomes["warned"] == [
-        ("s_curves", 0, "self_intersection", -1), ("s_curves", 0, "self_intersection", 1)
-    ]
+    assert outcomes["warned"] == []
     assert certificate_only == []
 
 
@@ -615,7 +626,7 @@ def test_rejected_mutants_raise_everywhere(m, g):
         if fault is not None:
             rejected += 1
             assert _descriptor_faults(mutant, m, classes) == {fault}, path
-    assert rejected == 90
+    assert rejected == 92
 
 
 def _edit_incidences(g, section, i, edit):
@@ -802,11 +813,6 @@ def _outcome(cls, g, m):
         return repr(exc)
 
 
-def _point_records(lft, g, m):
-    """(p, record of p) for each threefold point p, as total_chi and localize_class read them."""
-    return [(p, _point_record(plan, read(lft.full))) for p, (_, _, read, plan) in _resolve(g, m).items()]
-
-
 def _clear_memos():
     for memo in (_point_sums, _point_record, _resolve):
         memo.cache_clear()
@@ -893,9 +899,9 @@ def test_point_sums_read_only_on_record_misses(m, g):
     d = _den_poly(_E8_A5_DEN)
     for rec in bps_table(m):
         lft = lift(rec.cls, m)
-        for _, _, read, plan in _resolve(g, m).values():
-            key = plan(read(lft.full))
-            r = _point_record(plan, read(lft.full))
+        for pt in _resolve(g, m).values():
+            key = pt.plan(pt.read(lft.full))
+            r = _point_record(pt.plan, pt.read(lft.full))
             assert r is _point_sums(*key) and key[-1] == _E8_A5_DEN
             assert r.contribution * d == r.quo * d + r.rem
             assert all(0 <= w < 21 for w in r.rem.coeffs)
@@ -913,7 +919,7 @@ def _den_poly(den) -> LaurentPoly:
 def _resolved_den(g, m) -> tuple:
     """The one D that every point key of the resolution of (g, m) carries."""
     zero = (0,) * m.diagram.rank
-    (den,) = {plan(read(zero))[-1] for *_, read, plan in _resolve(g, m).values()}
+    (den,) = {pt.plan(pt.read(zero))[-1] for pt in _resolve(g, m).values()}
     return den
 
 
@@ -943,13 +949,24 @@ def test_resolved_denominator(m, g):
     assert total_chi(lift((1,), a1), curve, a1) == VirtualCharacter({0: 1, 1: -3, 2: 3, 3: -1})
 
 
+def test_resolution_is_one_named_point_per_threefold_point(m, g):
+    # keyed by name in descriptor order, each with what lies over it in descriptor order
+    resolved = _resolve(g, m)
+    assert list(resolved) == [y.name for y in g.y_points]
+    for name, pt in resolved.items():
+        assert type(pt) is _Point and pt.y is g.y_point(name)
+        assert pt.points == tuple(q for q in g.s_points if q.image == name)
+        assert pt.curves == tuple(e for e in g.s_curves if e.image == name)
+    assert [len(pt.points) for pt in resolved.values()] == [2, 2, 2, 1, 0]
+
+
 def test_point_supports(m, g):
     # P4 reads one lift entry (F4), P1 and P3 two, P2 three, P four (E3 and
     # its neighbours), and a point with nothing over it none; every support
     # reads a tuple, also where itemgetter of one index would give a scalar
     lonely = GeometryDescriptor(g.y_points + (YPoint("P9", (1, 1, 1)),), g.s_points, g.s_curves)
     top = lift((3, 5, 4, 3), m)
-    supports = {p.name: read(top.full) for p, (_, _, read, _) in _resolve(lonely, m).items()}
+    supports = {name: pt.read(top.full) for name, pt in _resolve(lonely, m).items()}
     assert supports == {"P1": (2, 3), "P2": (3, 4, 5), "P3": (4, 2), "P4": (3,), "P": (5, 6, 4, 3), "P9": ()}
     for cls in ((3, 5, 4, 3), (0, 0, 0, 1), (1, 0, 0, 0), (1, 2, 2, 1)):
         lft = lift(cls, m)
