@@ -25,13 +25,14 @@ one common denominator D of all contributions, from the weights alone,
 and compiles each threefold point p to a ``_Point`` found by name: a
 getter of its support (the lift entries it reads) and a plan that turns
 those into p's key, namely its tangent weights, (tangent weights,
-weight) per surface point, (weight, degree, normal weight,
-self-intersection) per fixed curve over p, and D.  Per class, a point
-is one getter call and one lookup in the memo ``_point_record`` by
-(plan, support values), whose misses read ``_point_sums`` by key; both
-return the one shared record of a key: ch_p, the contribution, and its
-split N_p = P_p * D + R_p.  The total is the sum of the P_p, integral
-exactly when the R_p cancel.
+weight) per surface point, (weight, degree, normal weight) per fixed
+curve over p, and D; no self-intersection, as ``_resolve`` checks that
+each fixed curve is a (-2)-curve.  Per class, a point is one getter
+call and one lookup in the memo ``_point_record`` by (plan, support
+values), whose misses read ``_point_sums`` by key; both return the one
+shared record of a key: ch_p, the contribution, and its split
+N_p = P_p * D + R_p.  The total is the sum of the P_p, integral exactly
+when the R_p cancel.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[str, _Point]:
         support = sorted({j for _, form in points for j, _ in form}.union(*(nodes for _, nodes in curves)))
         at = support.index
         qs = tuple((q.weights, tuple((at(j), c) for j, c in form)) for q, form in points)
-        es = tuple((tuple(map(at, nodes)), e.normal_weight, e.self_intersection) for e, nodes in curves)
+        es = tuple((tuple(map(at, nodes)), e.normal_weight) for e, nodes in curves)
         plans[p.name] = _Point(p, tuple(q for q, _ in points), tuple(e for e, _ in curves),
                                tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
     return plans
@@ -224,7 +225,7 @@ def _point_denominator(p: YPoint, points, curves) -> Quotient:
 def _point_key(weights, points, curves, den, v: tuple[int, ...]) -> tuple:
     """The key of a threefold point for ``_point_sums``, from its support values ``v``."""
     return (weights, tuple((t, sum([v[i] * c for i, c in form])) for t, form in points),
-            tuple((-n * v[i], 2 * v[i] - sum([v[j] for j in nbs]), n, s) for (i, *nbs), n, s in curves), den)
+            tuple((-n * v[i], 2 * v[i] - sum([v[j] for j in nbs]), n) for (i, *nbs), n in curves), den)
 
 
 def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict:
@@ -233,7 +234,7 @@ def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -
     for pt in _resolve(g, m).values():
         _, qs, es, _ = pt.plan(pt.read(lft.full))
         out.update((q.name, w) for q, (_, w) in zip(pt.points, qs))
-        out.update((e.name, (w, d)) for e, (w, d, _, _) in zip(pt.curves, es))
+        out.update((e.name, (w, d)) for e, (w, d, _) in zip(pt.curves, es))
     return out
 
 
@@ -249,20 +250,20 @@ def _point_residue(w: int, weights: tuple[int, int]) -> Quotient:
     return Quotient(expfactor(w), (-weights[0], -weights[1]))
 
 
-def _curve_residue(w: int, d: int, n: int, s: int) -> Quotient:
-    """Push-down of a pointwise-fixed curve, without its image's prefactor.
+def _curve_residue(w: int, d: int, n: int) -> Quotient:
+    """Push-down of a pointwise-fixed (-2)-curve, without its image's prefactor.
 
     Over the curve, with x its point class (x^2 = 0), the restriction is
     A + A'x with A = 1 - mu^w, A' = -d*mu^w; the tangent line has weight
-    0 and degree 2 (Todd factor 1 + x); the normal line gives B + B'x
-    with B = 1 - mu^-n, B' = s*mu^-n for normal weight n and
-    self-intersection s.  The push-down is the x-coefficient of
-    (A + A'x)(1 + x)/(B + B'x), that is ((A + A')B - AB')/B^2.
+    0 and degree 2 (Todd factor 1 + x); the normal line, of weight n and
+    degree -2, gives B + B'x with B = 1 - mu^-n, B' = -2*mu^-n.  The
+    push-down is the x-coefficient of (A + A'x)(1 + x)/(B + B'x), that is
+    ((A + A')B - AB')/B^2.
     """
     a = expfactor(w)
     a1 = LaurentPoly._raw({w: -d} if d else {})
     b = expfactor(-n)
-    b1 = LaurentPoly._raw({-n: s} if s else {})
+    b1 = LaurentPoly._raw({-n: -2})
     return Quotient((a + a1) * b - a * b1, (-n, -n))
 
 

@@ -11,10 +11,9 @@ stay comparable across modules and files.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
 from math import isqrt, lcm
-from operator import and_
 from typing import NamedTuple
 
 RootVector = tuple[int, ...]
@@ -23,7 +22,6 @@ RootVector = tuple[int, ...]
 class _DiagramFields(NamedTuple):
     kind: str
     rank: int
-    edges: tuple[tuple[int, int], ...]
 
 
 def _edges(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
@@ -46,23 +44,22 @@ def _edges(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
 
 
 class DynkinDiagram(_DiagramFields):
-    """The ADE diagram of (kind, rank) in the node order n1..n_rank, with exactly these edges, in order:
+    """The ADE diagram of (kind, rank) in the node order n1..n_rank, whose ``edges`` are, in order:
 
     * ``A_n`` chain n1-n2-...-n_n
     * ``D_n`` chain n1-...-n_{n-1}, with n_n attached to n_{n-2}
     * ``E_n`` chain n1-...-n_{n-1}, with n_n attached to n_{n-3}
 
-    so one diagram is one tuple.  A named tuple, checked whenever one is built: by the constructor,
-    ``_make``, ``_replace``, a copy or a pickle.
+    so (kind, rank) is the whole diagram.  A named tuple of those two fields, checked whenever one
+    is built: by the constructor, ``_make``, ``_replace``, a copy or a pickle, each of which also
+    derives the edges and the neighbour lists.
     """
 
-    def __new__(cls, kind: str, rank: int, edges: tuple[tuple[int, int], ...]):
-        expected = _edges(kind, rank)
-        if tuple(edges) != expected:
-            raise ValueError(f"{kind}{rank} needs the edges {expected!r}, got {edges!r}")
-        self = super().__new__(cls, kind, rank, expected)
+    def __new__(cls, kind: str, rank: int):
+        self = super().__new__(cls, kind, rank)
+        self.edges = _edges(kind, rank)
         adj: list[list[int]] = [[] for _ in range(rank)]
-        for i, j in expected:  # canonical order lists each node's neighbours ascending
+        for i, j in self.edges:  # canonical order lists each node's neighbours ascending
             adj[i].append(j)
             adj[j].append(i)
         self._adj = tuple(map(tuple, adj))
@@ -91,8 +88,7 @@ class DynkinDiagram(_DiagramFields):
 
 def build_diagram(kind: str, rank: int) -> DynkinDiagram:
     """Canonical ADE diagram; raises ValueError on an illegal (kind, rank)."""
-    k = kind.upper()
-    return DynkinDiagram(k, rank, _edges(k, rank))
+    return DynkinDiagram(kind.upper(), rank)
 
 
 def parse_int(text: str) -> int:
@@ -146,8 +142,8 @@ def _positive_roots(d: DynkinDiagram) -> tuple[int, ...]:
     # more roots v of height h (a dict per height keeps it once).  v and Cv
     # are packed with a byte per node, n1 most significant, each byte of cv
     # offset by 0x41: adding the packed column C e_k never borrows, and v
-    # extends at the bytes 0x40.  ADE roots have (Cv)_k in -1..2; an entry
-    # below -1, reached only on a diagram of infinite type, clears bit 6.
+    # extends at the bytes 0x40.  ADE roots have (Cv)_k in -1..2, so every
+    # byte of cv stays in 0x40..0x43.
     rank = d.rank
     step = [1 << 8 * (rank - 1 - k) for k in range(rank)]
     col = [2 * step[k] - sum([step[j] for j in d.neighbors(k)]) for k in range(rank)]
@@ -155,8 +151,6 @@ def _positive_roots(d: DynkinDiagram) -> tuple[int, ...]:
     level = {step[k]: 0x41 * ones + col[k] for k in range(rank)}
     roots = []
     while level:
-        if ~reduce(and_, level.values()) & 0x40 * ones:
-            raise ValueError("not a finite root system: an entry of Cv fell below -1")
         roots += level
         higher = {}
         for v, cv in level.items():

@@ -23,6 +23,7 @@ from .localize import (
 )
 from .rootsys import (
     build_diagram,
+    cartan_pairing,
     enumerate_positive_roots,
     enumerate_positive_roots_bruteforce,
     highest_root,
@@ -116,13 +117,14 @@ def _closure_equals_bruteforce(_m, _g) -> str:
     for kind, rank in kinds:
         d = build_diagram(kind, rank)
         _expect(enumerate_positive_roots(d) == enumerate_positive_roots_bruteforce(d), f"{kind}{rank}")
-    return f"{len(kinds)} diagrams"
+    return f"{len(set(kinds))} diagrams"
 
 
 def _highest_root(m, _g) -> str:
     h = highest_root(m.diagram)
     _expect(h == (2, 3, 4, 5, 6, 4, 2, 3), f"highest root {h}")
-    _expect(project(h, m) == (3, 5, 4, 3))
+    white = project(h, m)
+    _expect(white == (3, 5, 4, 3), f"white part {white}")
     return str(h)
 
 
@@ -142,10 +144,14 @@ def _table_statistics(m, _g) -> str:
 
 
 def _lift_validity(m, _g) -> str:
+    d = m.diagram
+    simple = [tuple(int(i == b) for i in range(d.rank)) for b in m.black_order]
     for rec in bps_table(m):
         lft = lift(rec.cls, m)
         _expect(lft.self_pairing == -2, f"{rec.cls}: square {lft.self_pairing}")
-        _expect(all(d in (0, -1) for d in lft.delta), f"{rec.cls}: delta {lft.delta}")
+        # delta_j is the intersection of the lift with the contracted curve E_j: minus the Cartan form
+        pairings = tuple(-cartan_pairing(d, lft.full, e) for e in simple)
+        _expect(lft.delta == pairings, f"{rec.cls}: delta {lft.delta}, curve pairings {pairings}")
     top = lift((3, 5, 4, 3), m)
     blacks = tuple(top.full[b] for b in m.black_order)
     _expect(blacks == (2, 4, 6, 2), f"black coefficients {blacks}")
@@ -184,7 +190,7 @@ def _golden_intermediates(m, g) -> str:
         _expect(top.contributions[p.name] == GOLDEN_CONTRIBUTIONS[p.name], f"contribution of {p.name}")
         count += 2
     dual = top.characters["P1"].dual()
-    _expect(dual == LaurentPoly({0: 1, 2: -1, 6: -1, 7: 1, 10: -1, 11: 1}))
+    _expect(dual == LaurentPoly({0: 1, 2: -1, 6: -1, 7: 1, 10: -1, 11: 1}), f"dual of the character at P1: {dual}")
     return f"{count + 1} golden values reproduced"
 
 
@@ -250,20 +256,17 @@ def _blackening_unique(m, _g) -> str:
     roots = enumerate_positive_roots(d)
     h = highest_root(d)
     target = sorted((3, 5, 4, 3))
-    survivors = []
+    faults = {}  # per 4-subset of black nodes: adjacent ones, another white part, another count of dropped roots
     for black in combinations(range(d.rank), 4):
-        blackset = set(black)
-        if any(i in blackset and j in blackset for i, j in d.edges):
-            continue
-        white = [i for i in range(d.rank) if i not in blackset]
-        if sorted(h[i] for i in white) != target:
-            continue
-        dropped = sum(1 for r in roots if all(r[i] == 0 for i in white))
-        if dropped != 4:
-            continue
-        survivors.append(blackset)
+        white = [i for i in range(d.rank) if i not in black]
+        faults[black] = (any(i in black and j in black for i, j in d.edges),
+                         sorted(h[i] for i in white) != target,
+                         sum(1 for r in roots if all(r[i] == 0 for i in white)) != 4)
+    survivors = [set(black) for black, bad in faults.items() if not any(bad)]
     _expect(survivors == [set(m.black)], f"survivors {survivors}")
-    return "unique among 70 subsets"
+    adjacent, other_white, other_dropped = map(sum, zip(*faults.values()))
+    return (f"unique among {len(faults)} subsets; {adjacent} have adjacent black nodes, {other_white}"
+            f" another white part, {other_dropped} another number of dropped roots")
 
 
 QUICK_CHECKS = (

@@ -378,6 +378,18 @@ def test_closed_pipe_exits_141_quietly():
     assert (p.returncode, err, first) == (141, b"", b"0," * 43 + b"1\n")
 
 
+def test_pipe_closed_before_the_first_write_exits_141_quietly():
+    # roots A 2 fits in a block-buffered stdout, so the write fails only when
+    # main flushes it, and the bytes still buffered must not reach the exit flush
+    env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as out:
+        p = subprocess.run([sys.executable, "-m", "adebps.cli", "roots", "A", "2"], stdout=out,
+                           stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (p.returncode, p.stderr) == (141, b"")
+
+
 ENGINE = {"adebps.localize", "adebps.symring", "adebps.verify"}
 CASE = ["--case", "e8-a5"]
 # the records are named tuples: no command pays for dataclasses and the inspect it imports

@@ -414,6 +414,7 @@ _BAD_DESCRIPTORS = {
     _HEAD + _P1 + "S-POINTS\nQ1 1 2 P1 F1:1_0\n": "^line 6: expected an integer, got '1_0'$",
     "DESCRIPTOR-VERSION \u0661\n": "^line 1: expected an integer, got '\u0661'$",
     _HEAD + "Y-POINTS\nP1\n": "^line 4: Y point needs name and 3 weights$",  # a one-token row is no header
+    _HEAD + "Y-POINTS\nP1 5\n": "^line 4: Y point needs name and 3 weights$",  # nor is a two-token row
     _HEAD + _P1 + "S-POINTS\nQ1 1 2\n": "^line 6: S point needs name, 2 weights, image$",
     _HEAD + _P1 + "S-POINTS\nQ1 1 2 P1 F1:\n": "^line 6: bad incidence 'F1:'$",
     _HEAD + _P1 + "S-CURVES\nE1 P1 1\n": "^line 6: S curve needs name, image, normal weight, self-intersection$",

@@ -84,19 +84,19 @@ def test_every_construction_path_runs_the_checks():
         m._replace(black=frozenset({99}))
     with pytest.raises(ValueError, match="black and white overlap"):
         Marking._make((d, m.black | {m.white_order[0]}, m.white_order))
-    with pytest.raises(ValueError, match="E8 needs the edges"):
-        d._replace(edges=d.edges[:-1])
-    with pytest.raises(ValueError, match="E8 needs the edges"):  # the same tree, re-oriented
-        d._replace(edges=tuple((j, i) for i, j in reversed(d.edges)))
-    with pytest.raises(ValueError, match="A8 needs the edges"):
-        d._replace(kind="A")
-    with pytest.raises(ValueError, match="D8 needs the edges"):
-        DynkinDiagram._make(("D", *d[1:]))
+    # a diagram is its (kind, rank), so each path derives the edges of the new pair
+    for built, want in ((d._replace(kind="A"), build_diagram("A", 8)),
+                        (DynkinDiagram._make(("D", 8)), build_diagram("D", 8))):
+        assert built == want and built.edges == want.edges
+        assert [built.neighbors(i) for i in range(8)] == [want.neighbors(i) for i in range(8)]
+    with pytest.raises(ValueError, match="type E needs rank 6, 7 or 8"):
+        d._replace(rank=9)
+    with pytest.raises(ValueError, match="unknown kind 'Q'"):
+        DynkinDiagram._make(("Q", 8))
     # a record forged past its constructor is checked again when copied or unpickled
     for forged, message in (
         (tuple.__new__(Marking, (d, frozenset({99}), m.white_order)), "black nodes out of range"),
-        (tuple.__new__(DynkinDiagram, ("A", 3, ((0, 0), (1, 2)))), "A3 needs the edges"),
-        (tuple.__new__(DynkinDiagram, ("A", 3, ((0, 2), (2, 1)))), "A3 needs the edges"),  # relabelled
+        (tuple.__new__(DynkinDiagram, ("D", 3)), "type D needs rank >= 4"),
     ):
         for round_trip in ROUND_TRIPS.values():
             with pytest.raises(ValueError, match=message):
