@@ -16,6 +16,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .rootsys import (
+    _Checked,
     DynkinDiagram,
     RootVector,
     _positive_roots,
@@ -35,7 +36,7 @@ class _MarkingFields(NamedTuple):
     white_order: tuple[int, ...]
 
 
-class Marking(_MarkingFields):
+class Marking(_Checked, _MarkingFields):
     """A partition of the nodes into black (contracted) and ordered white.
 
     A named tuple, checked whenever one is built: by the constructor, ``_replace``, a copy or a pickle,
@@ -56,10 +57,6 @@ class Marking(_MarkingFields):
         blacks = tuple((b, diagram.neighbors(b)) for b in self.black_order)
         self._lift_plan = (diagram.rank, blacks, diagram.edges) if self.black_is_independent() else None
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> Marking:
-        return cls(*iterable)
 
     @property
     def black_order(self) -> tuple[int, ...]:

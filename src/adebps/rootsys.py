@@ -24,6 +24,17 @@ class _DiagramFields(NamedTuple):
     rank: int
 
 
+class _Checked:
+    """Makes every path that builds a named tuple (``_make``, ``_replace``, copies, pickles) call ``__new__``."""
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
 def _edges(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
     """The canonical edges of (kind, rank); raises ValueError on an illegal pair."""
     if type(rank) is not int:
@@ -43,7 +54,7 @@ def _edges(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
     raise ValueError(f"unknown kind {kind!r}: expected A, D or E")
 
 
-class DynkinDiagram(_DiagramFields):
+class DynkinDiagram(_Checked, _DiagramFields):
     """The ADE diagram of (kind, rank) in the node order n1..n_rank, whose ``edges`` are, in order:
 
     * ``A_n`` chain n1-n2-...-n_n
@@ -51,36 +62,29 @@ class DynkinDiagram(_DiagramFields):
     * ``E_n`` chain n1-...-n_{n-1}, with n_n attached to n_{n-3}
 
     so (kind, rank) is the whole diagram.  A named tuple of those two fields, checked whenever one
-    is built: by the constructor, ``_make``, ``_replace``, a copy or a pickle, each of which also
-    derives the edges and the neighbour lists.
+    is built: by the constructor, ``_make``, ``_replace``, a copy or a pickle, each of which calls
+    the constructor, so each also derives the read-only edges and the neighbour lists.
     """
 
     def __new__(cls, kind: str, rank: int):
         self = super().__new__(cls, kind, rank)
-        self.edges = _edges(kind, rank)
+        self._edges = _edges(kind, rank)
         adj: list[list[int]] = [[] for _ in range(rank)]
-        for i, j in self.edges:  # canonical order lists each node's neighbours ascending
+        for i, j in self._edges:  # canonical order lists each node's neighbours ascending
             adj[i].append(j)
             adj[j].append(i)
         self._adj = tuple(map(tuple, adj))
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> DynkinDiagram:
-        return cls(*iterable)
+    edges = property(lambda self: self._edges, doc="The edges of (kind, rank), read-only.")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """2 on the diagonal, -1 across each edge, 0 elsewhere."""
-        m = [[0] * self.rank for _ in range(self.rank)]
-        for i in range(self.rank):
-            m[i][i] = 2
-        for i, j in self.edges:
-            m[i][j] = -1
-            m[j][i] = -1
-        return tuple(tuple(row) for row in m)
+        nodes = range(self.rank)
+        return tuple(tuple(2 if i == j else -1 if j in self._adj[i] else 0 for j in nodes) for i in nodes)
 
     def node_names(self) -> tuple[str, ...]:
         return tuple(f"n{i + 1}" for i in range(self.rank))

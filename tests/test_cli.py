@@ -314,19 +314,6 @@ class TestVerify:
         [golden] = [r for r in verify.run_checks(quick=True) if r.name.startswith("golden")]
         assert not golden.passed and golden.detail == "restriction weight at Q1"
 
-    def test_box_invariants_catch_a_broken_total(self, monkeypatch):
-        from adebps import verify
-        from adebps.symring import LaurentPoly
-
-        # vanishes at mu = 1 but is not Serre antisymmetric
-        monkeypatch.setattr(verify, "total_chi", lambda lft, g, m: LaurentPoly({0: 1, 1: -1}))
-        m, g = verify.catalog.load_case("e8-a5")
-        with pytest.raises(AssertionError, match="Serre antisymmetry"):
-            verify._box_invariants(m, g)
-        monkeypatch.setattr(verify, "total_chi", lambda lft, g, m: LaurentPoly({0: 1}))
-        with pytest.raises(AssertionError, match=r"chi\(1\) != 0"):
-            verify._box_invariants(m, g)
-
     def test_box_invariants_detail_names_the_unfitted_checks(self):
         from adebps import verify
 

@@ -77,6 +77,19 @@ def test_round_trips_keep_checked_records(round_trip):
     assert type(back) is GeometryDescriptor and back == g and hash(back) == hash(g)
 
 
+def test_edges_are_read_only_and_rebuilt_by_every_round_trip():
+    d, m = build_diagram("A", 3), e8_a5_marking()
+    with pytest.raises(AttributeError):
+        d.edges = ((0, 2),)
+    # what the constructor derives is not copied: each round trip derives it again
+    d._edges, d._adj = ((0, 2),), ((2,), (), (0,))
+    m._lift_plan = None
+    for round_trip in ROUND_TRIPS.values():
+        back = round_trip(d)
+        assert back.edges == ((0, 1), (1, 2)) and [back.neighbors(i) for i in range(3)] == [(1,), (0, 2), (1,)]
+        assert round_trip(m)._lift_plan == e8_a5_marking()._lift_plan is not None
+
+
 def test_every_construction_path_runs_the_checks():
     m = e8_a5_marking()
     d = m.diagram

@@ -2,7 +2,7 @@
 
 Usage, from the root of the repository:
 
-    python tools/mutants.py localize verify --work /tmp/sweep [--functions-only] [--workers 2]
+    python tools/mutants.py localize verify --work /tmp/sweep [--functions-only]
 
 Each mutant changes one site of one module:
 
@@ -20,10 +20,11 @@ line of the swept modules.  Each mutant then runs, with ``-x``, the test
 functions that reached its lines (``tests/test_<module>.py`` for a line no
 test reaches, such as code that runs at import), in a copy of ``src``,
 ``tests`` and ``perfbench`` under the work directory; every survivor then
-runs the whole tier-1 suite.  A run over ``--timeout`` seconds counts as
-killed.  The report gives killed (timed out) / survived of all mutants per
-module, and lists each survivor by line; an equivalent survivor changes no
-observable result, and is registered as such in ROADMAP.md.
+runs the whole tier-1 suite.  A run over ``TIMEOUT`` (60) seconds counts
+as killed.  Mutants run on one worker per CPU, at most two.  The report
+gives killed (timed out) / survived of all mutants per module, and lists
+each survivor by line; an equivalent survivor changes no observable
+result, and is registered as such in ROADMAP.md.
 
 The sweep runs outside tier-1 and CI: it takes tens of minutes.
 """
@@ -45,6 +46,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+TIMEOUT = 60  # seconds after which a run counts as killed
+WORKERS = min(2, os.cpu_count() or 1)  # each worker runs pytest in its own copy of the tree
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 _FLIPPED = {
@@ -205,7 +208,7 @@ def _env(tree: Path) -> dict:
     return env
 
 
-def _run(tree: Path, tests: list[str], timeout: float) -> str:
+def _run(tree: Path, tests: list[str], timeout: int) -> str:
     """'killed', 'timeout' or 'survived' for the tree as it stands."""
     try:
         p = subprocess.run(PYTEST + ["-x", *tests], cwd=tree, env=_env(tree), timeout=timeout,
@@ -220,9 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("modules", nargs="+", help="module names under src/adebps, e.g. localize verify")
     ap.add_argument("--work", required=True, type=Path, help="scratch directory for the copies of the tree")
     ap.add_argument("--functions-only", action="store_true", help="only sites inside function bodies")
-    ap.add_argument("--workers", type=int, default=2)
-    ap.add_argument("--timeout", type=float, default=60.0, help="seconds after which a run counts as killed")
-    ap.add_argument("--json", type=Path, help="also write the outcome of every mutant here")
     args = ap.parse_args(argv)
 
     sources = {mod: (ROOT / "src" / "adebps" / f"{mod}.py").read_text() for mod in args.modules}
@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     hits = json.loads(coverage.read_text())
     for mod in args.modules:  # every mutant runs unparsed text, so check that it passes unmutated
         Path(files[mod]).write_text(ast.unparse(ast.parse(sources[mod])) + "\n")
-    if _run(base, [], 10 * args.timeout) != "survived":
+    if _run(base, [], 10 * TIMEOUT) != "survived":
         print("tier-1 fails on the unparsed, unmutated copy; nothing to sweep", file=sys.stderr)
         return 1
 
@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return sorted(tests, key=lambda t: (not t.startswith(own), t))  # the module's own tests first
 
     trees: queue.Queue[Path] = queue.Queue()
-    for k in range(args.workers):
+    for k in range(WORKERS):
         _copy_tree(args.work / f"w{k}")
         trees.put(args.work / f"w{k}")
 
@@ -264,15 +264,15 @@ def main(argv: list[str] | None = None) -> int:
         target = tree / "src" / "adebps" / f"{m.module}.py"
         try:
             target.write_text(mutated_source(sources[m.module], m))
-            outcome = _run(tree, selected(m), args.timeout)
+            outcome = _run(tree, selected(m), TIMEOUT)
             if outcome == "survived":
-                outcome = _run(tree, [], args.timeout)
+                outcome = _run(tree, [], TIMEOUT)
             return outcome
         finally:
             target.write_text(sources[m.module])
             trees.put(tree)
 
-    with ThreadPoolExecutor(args.workers) as pool:
+    with ThreadPoolExecutor(WORKERS) as pool:
         outcomes = []
         for k, outcome in enumerate(pool.map(one, mutants), 1):
             outcomes.append(outcome)
@@ -285,8 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     for m, o in zip(mutants, outcomes):
         if o == "survived":
             print(f"  survived {m.module} {m.text}")
-    if args.json:
-        args.json.write_text(json.dumps([{**m._asdict(), "outcome": o} for m, o in zip(mutants, outcomes)], indent=1))
     return 0
 
 
