@@ -355,11 +355,13 @@ class ExtDecomposition(NamedTuple):
     ext2: VirtualCharacter
 
 
-def ext_decompose(chi: VirtualCharacter, serre_weight: int = 3) -> ExtDecomposition:
+def ext_decompose(chi: VirtualCharacter, serre_weight: int) -> ExtDecomposition:
     """Split off the unit and Serre-dual parts and separate the rest by sign.
 
-    A weight-0 remainder or a dimension mismatch means the splitting
-    assumption fails; that is an error, never a silent cancellation.
+    ``serre_weight`` is minus the descriptor's canonical weight, so no one
+    value can be its default.  A weight-0 remainder or a dimension mismatch
+    means the splitting assumption fails; that is an error, never a silent
+    cancellation.
     """
     if chi.coefficient(0) != 1:
         raise ValueError(f"weight-0 part of chi is {chi.coefficient(0)}, expected 1")

@@ -11,8 +11,10 @@ sign and monomial move into the numerator.  Summands multiply by adding
 exponents and add through ``quotient_sum``: it takes the largest
 exponent of each factor over all summands first, then lifts each
 numerator to that common denominator exactly once, so a long sum never
-re-lifts a growing accumulator.  No gcd is ever taken, but a factor
-known to cancel is never multiplied in only to be divided back out:
+re-lifts a growing accumulator; even one summand comes back as a new
+quotient.  Every operator coerces an integer operand by one rule,
+``_binary``.  No gcd is ever taken, but a factor known to cancel is
+never multiplied in only to be divided back out:
 ``times_expfactors`` cancels each factor 1 - mu^w against a power of
 1 - mu^|w| in the denominator where there is one (for w < 0 the
 numerator takes the sign and the monomial of 1 - mu^w = -mu^w *
@@ -72,6 +74,34 @@ def _point(x) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
+def _as_poly(x) -> LaurentPoly | None:
+    if isinstance(x, LaurentPoly):
+        return x
+    if _is_int(x):
+        return LaurentPoly._raw({0: x} if x else {})
+    return None
+
+
+def _as_quotient(x) -> Quotient | None:
+    if isinstance(x, Quotient):
+        return x
+    p = _as_poly(x)
+    return None if p is None else Quotient._raw(p.coeffs, {})
+
+
+def _binary(coerce):
+    """Run a binary operator on ``coerce(other)``, or return NotImplemented where that is None."""
+
+    def wrap(op):
+        def method(self, other):
+            o = coerce(other)
+            return NotImplemented if o is None else op(self, o)
+
+        return method
+
+    return wrap
+
+
 class LaurentPoly:
     """Sparse integer Laurent polynomial; weight -> coefficient, no zeros stored.
 
@@ -126,10 +156,8 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        o = _as_poly(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_poly)
+    def __eq__(self, o) -> bool:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
@@ -140,30 +168,22 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw({w: -c for w, c in self.coeffs.items()})
 
-    def __add__(self, other):
-        o = _as_poly(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_poly)
+    def __add__(self, o):
         return LaurentPoly._raw(_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _as_poly(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_poly)
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _as_poly(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_poly)
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = _as_poly(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_poly)
+    def __mul__(self, o):
         return LaurentPoly._raw(_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
@@ -177,14 +197,6 @@ class LaurentPoly:
 
 #: An integer combination of torus weight spaces is an integer Laurent polynomial.
 VirtualCharacter = LaurentPoly
-
-
-def _as_poly(x) -> LaurentPoly | None:
-    if isinstance(x, LaurentPoly):
-        return x
-    if _is_int(x):
-        return LaurentPoly._raw({0: x} if x else {})
-    return None
 
 
 def _add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -279,39 +291,29 @@ class Quotient:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __eq__(self, other) -> bool:
-        o = _as_quotient(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_quotient)
+    def __eq__(self, o) -> bool:
         return self.num * o.den_poly() == o.num * self.den_poly()
 
     def __neg__(self) -> "Quotient":
         return Quotient._raw({w: -c for w, c in self.num.coeffs.items()}, dict(self.den))
 
-    def __add__(self, other):
-        o = _as_quotient(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_quotient)
+    def __add__(self, o):
         return quotient_sum((self, o))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _as_quotient(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_quotient)
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _as_quotient(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_quotient)
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = _as_quotient(other)
-        if o is None:
-            return NotImplemented
+    @_binary(_as_quotient)
+    def __mul__(self, o):
         den = dict(self.den)
         for k, e in o.den.items():
             den[k] = den.get(k, 0) + e
@@ -329,13 +331,6 @@ class Quotient:
 
     def __repr__(self) -> str:
         return f"Quotient({self.num!r}, {self.den!r})"
-
-
-def _as_quotient(x) -> Quotient | None:
-    if isinstance(x, Quotient):
-        return x
-    p = _as_poly(x)
-    return None if p is None else Quotient._raw(p.coeffs, {})
 
 
 def _expand(den: Mapping[int, int]) -> dict[int, int]:
@@ -374,8 +369,6 @@ def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
     add nothing to the denominator; the empty sum is 0.
     """
     terms = [t for t in terms if t.num]
-    if len(terms) == 1:
-        return terms[0]
     den = common_denominator(terms)
     acc: dict[int, int] = {}
     for t in terms:

@@ -313,40 +313,40 @@ class TestCharacters:
 
 class TestExtDecompose:
     def test_rigid_class(self):
-        dec = ext_decompose(VirtualCharacter({0: 1, 3: -1}))
+        dec = ext_decompose(VirtualCharacter({0: 1, 3: -1}), serre_weight=3)
         assert dec.ext1 == VirtualCharacter() and dec.ext2 == VirtualCharacter()
 
     def test_half_class(self):
-        dec = ext_decompose(VirtualCharacter({0: 1, 2: -1, 1: 1, 3: -1}))
+        dec = ext_decompose(VirtualCharacter({0: 1, 2: -1, 1: 1, 3: -1}), serre_weight=3)
         assert dec.ext2 == VirtualCharacter({1: 1})
         assert dec.ext1 == VirtualCharacter({2: 1})
 
     def test_four_class(self):
-        dec = ext_decompose(VirtualCharacter({0: 1, 1: -2, 2: 2, 3: -1}))
+        dec = ext_decompose(VirtualCharacter({0: 1, 1: -2, 2: 2, 3: -1}), serre_weight=3)
         assert dec.ext2 == VirtualCharacter({2: 2})
         assert dec.ext1 == VirtualCharacter({1: 2})
 
     def test_rebuild_identity(self):
         for _, total, _, _, _ in REFERENCE_CLASSES:
             chi = VirtualCharacter(total)
-            dec = ext_decompose(chi)
+            dec = ext_decompose(chi, serre_weight=3)
             assert VirtualCharacter({0: 1}) - dec.ext1 + dec.ext2 - VirtualCharacter({3: 1}) == chi
 
     def test_weight_zero_residue_rejected(self):
         with pytest.raises(ValueError, match="^weight-0 part of chi is 2, expected 1$"):
-            ext_decompose(VirtualCharacter({0: 2, 3: -1}))
+            ext_decompose(VirtualCharacter({0: 2, 3: -1}), serre_weight=3)
         with pytest.raises(ValueError, match="weight-0 residue"):
             ext_decompose(VirtualCharacter({0: 1, 3: -2}), serre_weight=0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ext_decompose(VirtualCharacter({0: 1, 1: -1, 3: -1}))
+            ext_decompose(VirtualCharacter({0: 1, 1: -1, 3: -1}), serre_weight=3)
 
     def test_no_serre_term(self):
         # ext2 holds mu^3 exactly when chi has no mu^3 term: -mu^3 + mu^3 cancel
-        dec = ext_decompose(VirtualCharacter({0: 1, 1: -1}))
+        dec = ext_decompose(VirtualCharacter({0: 1, 1: -1}), serre_weight=3)
         assert dec == (VirtualCharacter({1: 1}), VirtualCharacter({3: 1}))
-        dec = ext_decompose(VirtualCharacter({0: 1, 1: -2, 2: 1}))
+        dec = ext_decompose(VirtualCharacter({0: 1, 1: -2, 2: 1}), serre_weight=3)
         assert dec == (VirtualCharacter({1: 2}), VirtualCharacter({2: 1, 3: 1}))
 
 
@@ -377,7 +377,7 @@ class TestInvariants:
 class TestEulerRows:
     def test_reference_euler_rows(self, g, m):
         for cls, _, row2, row1, n in REFERENCE_CLASSES:
-            dec = ext_decompose(total_chi(lift(cls, m), g, m))
+            dec = ext_decompose(total_chi(lift(cls, m), g, m), serre_weight=3)
             e2, e1 = euler_class(dec.ext2), euler_class(dec.ext1)
             assert (e2.scalar, e2.degree) == row2
             assert (e1.scalar, e1.degree) == row1
@@ -749,6 +749,21 @@ def test_scaling_every_weight_substitutes_mu_to_the_k(k, cls, root):
     assert total_chi(lft, scaled, m) == VirtualCharacter({k * w: c for w, c in chi.coeffs.items()})
     assert localize_class(root, m, scaled).n == n
     assert _contains_class_den(scaled, m, lft)
+
+
+
+@pytest.mark.parametrize("cls, n", [((1, 2, 2, 1), 4), ((2, 4, 3, 2), 2), ((2, 4, 4, 2), Fraction(1, 2))],
+                         ids=["1,2,2,1", "2,4,3,2", "2,4,4,2"])
+def test_ext_split_takes_the_serre_weight_of_its_descriptor(m, g, cls, n):
+    # scaled by 2, the canonical weight is -6; a split at weight 3, the old
+    # default, would read n = 2, 1 and 1/4 here
+    scaled = _scaled(g, 2)
+    chi = total_chi(lift(cls, m), scaled, m)
+    with pytest.raises(TypeError, match="serre_weight"):
+        ext_decompose(chi)
+    dec = ext_decompose(chi, serre_weight=6)
+    assert Fraction(euler_class(dec.ext2).scalar, euler_class(dec.ext1).scalar) == n
+    assert localize_class(cls, m, scaled).n == n
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,8 +19,9 @@ golden values.  One traced tier-1 run first records which tests reach each
 line of the swept modules.  Each mutant then runs, with ``-x``, the test
 functions that reached its lines (``tests/test_<module>.py`` for a line no
 test reaches, such as code that runs at import), in a copy of ``src``,
-``tests`` and ``perfbench`` under the work directory; every survivor then
-runs the whole tier-1 suite.  A run over ``TIMEOUT`` (60) seconds counts
+``tests``, ``tools`` and ``perfbench`` under the work directory, made from
+the one that passed tier-1 unmutated; every survivor then runs the whole
+tier-1 suite.  A run over ``TIMEOUT`` (60) seconds counts
 as killed.  Mutants run on one worker per CPU, at most two.  The report
 gives killed (timed out) / survived of all mutants per module, and lists
 each survivor by line; an equivalent survivor changes no observable
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")  # everything tier-1 reads
 TIMEOUT = 60  # seconds after which a run counts as killed
 WORKERS = min(2, os.cpu_count() or 1)  # each worker runs pytest in its own copy of the tree
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -255,9 +256,11 @@ def main(argv: list[str] | None = None) -> int:
         return sorted(tests, key=lambda t: (not t.startswith(own), t))  # the module's own tests first
 
     trees: queue.Queue[Path] = queue.Queue()
-    for k in range(WORKERS):
-        _copy_tree(args.work / f"w{k}")
-        trees.put(args.work / f"w{k}")
+    for k in range(WORKERS):  # copies of the tree that just passed, so no survivor fails for another reason
+        tree = args.work / f"w{k}"
+        shutil.rmtree(tree, ignore_errors=True)
+        shutil.copytree(base, tree)
+        trees.put(tree)
 
     def one(m: Mutant) -> str:
         tree = trees.get()
