@@ -25,56 +25,35 @@ def f(a, b):
     return a - b or a is not None
 '''
 
-#: every mutant of SOURCE, by the text the report prints, with its change
-IN_FUNCTIONS = {
-    "line 9: If statement -> pass": "pass",
-    "line 9: and -> or": "op",
-    "line 9: < -> >=": "cmp0",
-    "line 9: 1 -> 0": "int-1",
-    "line 9: 1 -> 2": "int+1",
-    "line 9: not dropped": "not",
-    "line 10: AugAssign statement -> pass": "pass",
-    "line 10: + -> -": "op",
-    "line 10: 2 -> 1": "int-1",
-    "line 10: 2 -> 3": "int+1",
-    "line 11: Return statement -> pass": "pass",
-    "line 11: or -> and": "op",
-    "line 11: - -> +": "op",
-    "line 11: is not -> is": "cmp0",
-}
-AT_MODULE_LEVEL = {
-    "line 3: Assign statement -> pass": "pass",
-    "line 3: 4 -> 3": "int-1",
-    "line 3: 4 -> 5": "int+1",
-    "line 4: Assign statement -> pass": "pass",  # True is no integer site
-    "line 7: FunctionDef statement -> pass": "pass",
-}
-
-#: each mutant as one substitution (old, new) in the ``ast.unparse`` text of SOURCE
 IF = "    if a < 1 and (not b):\n"
+AUG = "        a += 2\n"
 RETURN = "    return a - b or a is not None\n"
-FUNCTION = '\ndef f(a, b):\n    """Function docstring: 5 - 6 or 7."""\n' + IF + "        a += 2\n" + RETURN
-REWRITTEN = {
-    "line 9: If statement -> pass": (IF + "        a += 2\n", "    pass\n"),
-    "line 9: and -> or": (IF, "    if a < 1 or not b:\n"),
-    "line 9: < -> >=": (IF, "    if a >= 1 and (not b):\n"),
-    "line 9: 1 -> 0": (IF, "    if a < 0 and (not b):\n"),
-    "line 9: 1 -> 2": (IF, "    if a < 2 and (not b):\n"),
-    "line 9: not dropped": (IF, "    if a < 1 and b:\n"),
-    "line 10: AugAssign statement -> pass": ("        a += 2\n", "        pass\n"),
-    "line 10: + -> -": ("        a += 2\n", "        a -= 2\n"),
-    "line 10: 2 -> 1": ("        a += 2\n", "        a += 1\n"),
-    "line 10: 2 -> 3": ("        a += 2\n", "        a += 3\n"),
-    "line 11: Return statement -> pass": (RETURN, "    pass\n"),
-    "line 11: or -> and": (RETURN, "    return a - b and a is not None\n"),
-    "line 11: - -> +": (RETURN, "    return a + b or a is not None\n"),
-    "line 11: is not -> is": (RETURN, "    return a - b or a is None\n"),
-    "line 3: Assign statement -> pass": ("LIMIT = 4\n", "pass\n"),
-    "line 3: 4 -> 3": ("LIMIT = 4\n", "LIMIT = 3\n"),
-    "line 3: 4 -> 5": ("LIMIT = 4\n", "LIMIT = 5\n"),
-    "line 4: Assign statement -> pass": ("FLAG = True\n", "pass\n"),
-    "line 7: FunctionDef statement -> pass": (FUNCTION, "pass\n"),
+FUNCTION = '\ndef f(a, b):\n    """Function docstring: 5 - 6 or 7."""\n' + IF + AUG + RETURN
+
+#: every mutant of SOURCE: the text the report prints -> its change, and the
+#: one substitution (old, new) it makes in the ``ast.unparse`` text of SOURCE
+MUTANTS = {
+    "line 3: Assign statement -> pass": ("pass", "LIMIT = 4\n", "pass\n"),
+    "line 3: 4 -> 3": ("int-1", "LIMIT = 4\n", "LIMIT = 3\n"),
+    "line 3: 4 -> 5": ("int+1", "LIMIT = 4\n", "LIMIT = 5\n"),
+    "line 4: Assign statement -> pass": ("pass", "FLAG = True\n", "pass\n"),  # True is no integer site
+    "line 7: FunctionDef statement -> pass": ("pass", FUNCTION, "pass\n"),
+    "line 9: If statement -> pass": ("pass", IF + AUG, "    pass\n"),
+    "line 9: and -> or": ("op", IF, "    if a < 1 or not b:\n"),
+    "line 9: < -> >=": ("cmp0", IF, "    if a >= 1 and (not b):\n"),
+    "line 9: 1 -> 0": ("int-1", IF, "    if a < 0 and (not b):\n"),
+    "line 9: 1 -> 2": ("int+1", IF, "    if a < 2 and (not b):\n"),
+    "line 9: not dropped": ("not", IF, "    if a < 1 and b:\n"),
+    "line 10: AugAssign statement -> pass": ("pass", AUG, "        pass\n"),
+    "line 10: + -> -": ("op", AUG, "        a -= 2\n"),
+    "line 10: 2 -> 1": ("int-1", AUG, "        a += 1\n"),
+    "line 10: 2 -> 3": ("int+1", AUG, "        a += 3\n"),
+    "line 11: Return statement -> pass": ("pass", RETURN, "    pass\n"),
+    "line 11: or -> and": ("op", RETURN, "    return a - b and a is not None\n"),
+    "line 11: - -> +": ("op", RETURN, "    return a + b or a is not None\n"),
+    "line 11: is not -> is": ("cmp0", RETURN, "    return a - b or a is None\n"),
 }
+MODULE_LEVEL = {"line 3", "line 4", "line 7"}
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +70,9 @@ def _changes(found):
 
 def test_every_operator_yields_its_documented_mutants(mutants):
     found = mutants.enumerate_mutants("toy", SOURCE, functions_only=False)
-    assert len(found) == len(IN_FUNCTIONS) + len(AT_MODULE_LEVEL)  # no site twice
-    assert _changes(found) == {**IN_FUNCTIONS, **AT_MODULE_LEVEL}
+    assert len(found) == len(MUTANTS)  # no site twice
+    assert _changes(found) == {text: change for text, (change, _, _) in MUTANTS.items()}
     assert {m.module for m in found} == {"toy"}
-
 
 
 @pytest.mark.parametrize("op, flipped", [("<", ">="), (">=", "<"), (">", "<="), ("<=", ">"), ("==", "!="),
@@ -106,8 +84,10 @@ def test_every_comparison_flips_to_its_negation(mutants, op, flipped):
     assert m.text == f"line 2: {op} -> {flipped}"
     assert mutants.mutated_source(source, m) == f"def g(x, y):\n    return x {flipped} y\n"
 
+
 def test_functions_only_skips_module_level_sites(mutants):
-    assert _changes(mutants.enumerate_mutants("toy", SOURCE, functions_only=True)) == IN_FUNCTIONS
+    inside = {text: change for text, (change, _, _) in MUTANTS.items() if text.split(":")[0] not in MODULE_LEVEL}
+    assert _changes(mutants.enumerate_mutants("toy", SOURCE, functions_only=True)) == inside
 
 
 def test_docstrings_are_never_mutated(mutants):
@@ -121,6 +101,6 @@ def test_each_mutant_applies_and_parses(mutants):
     for m in mutants.enumerate_mutants("toy", SOURCE, functions_only=False):
         text = mutants.mutated_source(SOURCE, m)
         ast.parse(text)
-        old, new = REWRITTEN[m.text]
+        _, old, new = MUTANTS[m.text]
         assert unmutated.count(old) == 1
         assert text == unmutated.replace(old, new), (m.text, text)
