@@ -40,7 +40,8 @@ class Marking(_Checked, _MarkingFields):
     """A partition of the nodes into black (contracted) and ordered white.
 
     A named tuple, checked whenever one is built: by the constructor, ``_replace``, a copy or a pickle,
-    which also stores :func:`lift`'s plan: (rank, (black node, neighbours) in black order, edges) or None.
+    which also stores :func:`lift`'s plan: (rank, (black node, neighbours) in black order, white-white
+    edges as positions in the white order) or None.
     """
 
     def __new__(cls, diagram: DynkinDiagram, black: frozenset[int], white_order: tuple[int, ...]):
@@ -55,7 +56,9 @@ class Marking(_Checked, _MarkingFields):
         if set(white_order) | black != nodes:
             raise ValueError("black and white must cover all nodes")
         blacks = tuple((b, diagram.neighbors(b)) for b in self.black_order)
-        self._lift_plan = (diagram.rank, blacks, diagram.edges) if self.black_is_independent() else None
+        at = {node: i for i, node in enumerate(white_order)}
+        whites = tuple((at[i], at[j]) for i, j in diagram.edges if i in at and j in at)
+        self._lift_plan = (diagram.rank, blacks, whites) if self.black_is_independent() else None
         return self
 
     @property
@@ -126,26 +129,32 @@ def lift(cls: CurveClass, m: Marking) -> LiftedDivisor:
 
     Each delta entry is then k - 2*ceil(k/2), i.e. 0 or -1; this needs the
     black set to be pairwise non-adjacent.  Reads the marking's lift plan.
+
+    The square -C(v, v) = 2 * (sum over edges of v_i v_j - sum of v_i^2)
+    splits by node colour, since every edge meets a white node: a black
+    node b adds 2 * ceil(k_b/2) * (k_b - ceil(k_b/2)) = floor(k_b^2/2), and
+    the white part is summed over the white-white edges alone.
     """
     if len(cls) != len(m.white_order):
         raise ValueError("class length does not match the number of white nodes")
-    if any(c < 0 for c in cls):
-        raise ValueError("class must be effective")
-    if not any(cls):
+    if not any(cls):  # a zero class has no negative entry: checked first, it raises as if checked after
         raise ValueError("zero class has no lift")
+    if min(cls) < 0:
+        raise ValueError("class must be effective")
     if m._lift_plan is None:
         raise ValueError("adjacent black nodes: lift is not defined")
-    rank, blacks, edges = m._lift_plan
+    rank, blacks, whites = m._lift_plan
     full = [0] * rank
     for node, mult in zip(m.white_order, cls):
         full[node] = mult
     ks = []
     for b, nbs in blacks:  # neighbours of black are white
-        kj = sum([full[nb] for nb in nbs])
-        full[b] = (kj + 1) // 2
+        kj = sum(map(full.__getitem__, nbs))
+        full[b] = (kj + 1) >> 1
         ks.append(kj)
-    square = 2 * (sum([full[i] * full[j] for i, j in edges]) - sum([x * x for x in full]))  # -C(v, v)
-    return LiftedDivisor(tuple(full), tuple(ks), tuple(-(kj & 1) for kj in ks), square)
+    white = sum([cls[i] * cls[j] for i, j in whites]) - sum([c * c for c in cls])
+    square = sum([kj * kj >> 1 for kj in ks]) + 2 * white  # -C(v, v)
+    return LiftedDivisor(tuple(full), tuple(ks), tuple([-(kj & 1) for kj in ks]), square)
 
 
 # -- marking file format -------------------------------------------------

@@ -327,12 +327,14 @@ def _certified_sum(records) -> VirtualCharacter:
     unique and linear, so the total is the sum of the P_p, and D divides
     the sum of the numerators exactly when the R_p cancel.
     """
-    total, rest = {}, {}  # the sums of the P_p and of the R_p
-    for r in records:
+    first, *others = records
+    total, rest = dict(first.quo.coeffs), dict(first.rem.coeffs)  # the sums of the P_p and of the R_p
+    get_total, get_rest = total.get, rest.get
+    for r in others:
         for w, c in r.quo.coeffs.items():
-            total[w] = total.get(w, 0) + c
+            total[w] = get_total(w, 0) + c
         for w, c in r.rem.coeffs.items():
-            rest[w] = rest.get(w, 0) + c
+            rest[w] = get_rest(w, 0) + c
     if any(rest.values()):
         raise ValueError("not a polynomial: the remainders over the common denominator do not cancel")
     return LaurentPoly._raw({w: c for w, c in total.items() if c})
@@ -345,7 +347,8 @@ def total_chi(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> VirtualC
     result must divide out to an honest Laurent polynomial with integer
     coefficients, otherwise the descriptor and the lift are inconsistent.
     """
-    return _certified_sum([r for _, r in _point_records(lft, g, m)])
+    full = lft.full
+    return _certified_sum([_point_record(pt.plan, pt.read(full)) for pt in _resolve(g, m).values()])
 
 
 class ExtDecomposition(NamedTuple):

@@ -173,6 +173,23 @@ class TestLift:
         assert lft.self_pairing == -2
         assert lft.full in set(enumerate_positive_roots(m.diagram))
 
+    def test_square_is_minus_the_cartan_form(self, m):
+        # the square is summed as floor(k_b^2 / 2) per black node plus the white-white edges;
+        # pinned where those parts differ: no black node, white nodes adjacent next to black
+        # ones, and e8-a5, whose white nodes are pairwise apart
+        from itertools import product
+
+        no_black = Marking(build_diagram("D", 5), frozenset(), (4, 2, 0, 3, 1))
+        mixed = Marking(build_diagram("E", 7), frozenset({0, 3}), (6, 2, 4, 1, 5))
+        for mk, has_black, adjacent_white in ((no_black, False, True), (mixed, True, True), (m, True, False)):
+            white = set(mk.white_order)
+            assert bool(mk.black) == has_black
+            assert any(i in white and j in white for i, j in mk.diagram.edges) == adjacent_white
+            for cls in product(range(3), repeat=len(white)):
+                if any(cls):
+                    lft = lift(cls, mk)
+                    assert lft.self_pairing == -cartan_pairing(mk.diagram, lft.full, lft.full)
+
     def test_zero_class_rejected(self, m):
         with pytest.raises(ValueError, match="zero class"):
             lift((0, 0, 0, 0), m)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adebps.symring import (
@@ -13,10 +13,13 @@ from adebps.symring import (
     LaurentPoly,
     Quotient,
     VirtualCharacter,
+    _TERMS_MAXSIZE,
+    _term,
     divide_with_remainder,
     euler_class,
     expfactor,
     quotient_sum,
+    render_terms,
     times_expfactors,
 )
 
@@ -193,6 +196,48 @@ class TestToPolynomial:
 
 _LAURENT = st.dictionaries(st.integers(-15, 30), st.integers(-6, 6), max_size=8).map(LaurentPoly)
 _DENOMINATORS = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4)
+
+
+def _rendered(coeffs):
+    """``render_terms`` by its definition, term by term: ascending weights, each sign spelled out."""
+    out = []
+    for w in sorted(coeffs):
+        c = coeffs[w]
+        mag = abs(c)
+        if w == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = f"mu^{w}"
+        else:
+            body = f"{mag}*mu^{w}"
+        if not out:
+            out.append("-" + body if c < 0 else body)
+        else:
+            out.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(out) if out else "0"
+
+
+@st.composite
+def _sparse_terms(draw):
+    """A sparse weight -> nonzero coefficient dict, often with weight 0, coefficients +-1 and a negative lowest term."""
+    coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6).filter(bool))
+    coeffs = draw(st.dictionaries(st.integers(-10**4, 10**4), coefficient, max_size=12))
+    if draw(st.booleans()):
+        coeffs[0] = draw(coefficient)
+    if coeffs and draw(st.booleans()):
+        lowest = min(coeffs)
+        coeffs[lowest] = -abs(coeffs[lowest])
+    return coeffs
+
+
+# more distinct terms than the memo holds, in one call: it evicts while it renders
+@example({w: (1 if w % 2 else -1) * (1 + w % 3) for w in range(-_TERMS_MAXSIZE, 1)})
+@settings(max_examples=100, deadline=None)
+@given(_sparse_terms())
+def test_render_terms_matches_its_definition(coeffs):
+    assert render_terms(coeffs) == _rendered(coeffs)
+    assert str(LaurentPoly(coeffs)) == _rendered(coeffs)
+    assert _term.cache_info().currsize <= _TERMS_MAXSIZE
 
 
 @settings(max_examples=200, deadline=None)
