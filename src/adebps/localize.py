@@ -446,111 +446,88 @@ def validate_descriptor(g: GeometryDescriptor, m: Marking) -> list[str]:
 # the name of an S-CURVES entry is the label of the curve itself.
 
 
+def _int(tok: str, lineno: int) -> int:
+    try:
+        return parse_int(tok)
+    except ValueError:
+        raise DescriptorError(f"line {lineno}: expected an integer, got {tok!r}") from None
+
+
+def _incidences(tokens: list[str], lineno: int) -> tuple[Incidence, ...]:
+    out = []
+    for tok in tokens:
+        div, _, w = tok.partition(":")
+        if not div or not w:
+            raise DescriptorError(f"line {lineno}: bad incidence {tok!r}")
+        out.append(Incidence(div, _int(w, lineno)))
+    return tuple(out)
+
+
+def _y_point(tokens: list[str], lineno: int) -> YPoint:
+    if len(tokens) != 4:
+        raise DescriptorError(f"line {lineno}: Y point needs name and 3 weights")
+    return YPoint(tokens[0], tuple(_int(t, lineno) for t in tokens[1:]))
+
+
+def _s_point(tokens: list[str], lineno: int) -> SPoint:
+    if len(tokens) < 4:
+        raise DescriptorError(f"line {lineno}: S point needs name, 2 weights, image")
+    name, w1, w2, image, *incs = tokens
+    return SPoint(name, (_int(w1, lineno), _int(w2, lineno)), image, _incidences(incs, lineno))
+
+
+def _s_curve(tokens: list[str], lineno: int) -> SCurve:
+    if len(tokens) < 4:
+        raise DescriptorError(f"line {lineno}: S curve needs name, image, normal weight, self-intersection")
+    name, image, normal, self_int, *incs = tokens
+    return SCurve(name, image, _int(normal, lineno), _int(self_int, lineno), _incidences(incs, lineno))
+
+
+_HEADERS = ("DESCRIPTOR-VERSION", "CANONICAL-WEIGHT")
+#: each section, in file and GeometryDescriptor field order, with the reader of its rows
+_SECTIONS = {"Y-POINTS": _y_point, "S-POINTS": _s_point, "S-CURVES": _s_curve}
+
+
 def parse_descriptor(text: str) -> GeometryDescriptor:
-    version: int | None = None
-    canonical: int | None = None
+    headers: dict[str, int] = {}
     section: str | None = None
-    y_points: list[YPoint] = []
-    s_points: list[SPoint] = []
-    s_curves: list[SCurve] = []
-
-    def parse_incidences(tokens: list[str], lineno: int) -> tuple[Incidence, ...]:
-        out = []
-        for tok in tokens:
-            div, _, w = tok.partition(":")
-            if not div or not w:
-                raise DescriptorError(f"line {lineno}: bad incidence {tok!r}")
-            out.append(Incidence(div, _int(w, lineno)))
-        return tuple(out)
-
-    def _int(tok: str, lineno: int) -> int:
-        try:
-            return parse_int(tok)
-        except ValueError:
-            raise DescriptorError(f"line {lineno}: expected an integer, got {tok!r}") from None
-
+    rows: dict[str, list] = {head: [] for head in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         head = tokens[0].upper()
-        if head == "DESCRIPTOR-VERSION" and len(tokens) == 2:
-            if version is not None:
-                raise DescriptorError(f"line {lineno}: repeated DESCRIPTOR-VERSION")
-            version = _int(tokens[1], lineno)
-            if version != 1:
-                raise DescriptorError(f"unsupported descriptor version {version}")
-            continue
-        if head == "CANONICAL-WEIGHT" and len(tokens) == 2:
-            if canonical is not None:
-                raise DescriptorError(f"line {lineno}: repeated CANONICAL-WEIGHT")
-            canonical = _int(tokens[1], lineno)
-            continue
-        if head in ("Y-POINTS", "S-POINTS", "S-CURVES") and len(tokens) == 1:
+        if head in _HEADERS and len(tokens) == 2:
+            if head in headers:
+                raise DescriptorError(f"line {lineno}: repeated {head}")
+            headers[head] = value = _int(tokens[1], lineno)
+            if head == "DESCRIPTOR-VERSION" and value != 1:
+                raise DescriptorError(f"unsupported descriptor version {value}")
+        elif head in _SECTIONS and len(tokens) == 1:
             section = head
-            continue
-        if version is None:
+        elif "DESCRIPTOR-VERSION" not in headers:
             raise DescriptorError("descriptor must start with DESCRIPTOR-VERSION")
-        if section == "Y-POINTS":
-            if len(tokens) != 4:
-                raise DescriptorError(f"line {lineno}: Y point needs name and 3 weights")
-            y_points.append(YPoint(tokens[0], tuple(_int(t, lineno) for t in tokens[1:])))
-        elif section == "S-POINTS":
-            if len(tokens) < 4:
-                raise DescriptorError(f"line {lineno}: S point needs name, 2 weights, image")
-            s_points.append(
-                SPoint(
-                    tokens[0],
-                    (_int(tokens[1], lineno), _int(tokens[2], lineno)),
-                    tokens[3],
-                    parse_incidences(tokens[4:], lineno),
-                )
-            )
-        elif section == "S-CURVES":
-            if len(tokens) < 4:
-                raise DescriptorError(
-                    f"line {lineno}: S curve needs name, image, normal weight, self-intersection"
-                )
-            s_curves.append(
-                SCurve(
-                    tokens[0],
-                    tokens[1],
-                    _int(tokens[2], lineno),
-                    _int(tokens[3], lineno),
-                    parse_incidences(tokens[4:], lineno),
-                )
-            )
-        else:
+        elif section is None:
             raise DescriptorError(f"line {lineno}: data outside of a section")
-    if version is None:
-        raise DescriptorError("missing DESCRIPTOR-VERSION header")
-    if canonical is None:
-        raise DescriptorError("missing CANONICAL-WEIGHT header")
-    if not y_points:
+        else:
+            rows[section].append(_SECTIONS[section](tokens, lineno))
+    for head in _HEADERS:
+        if head not in headers:
+            raise DescriptorError(f"missing {head} header")
+    if not rows["Y-POINTS"]:
         raise DescriptorError("no Y-POINTS given")
-    return GeometryDescriptor(tuple(y_points), tuple(s_points), tuple(s_curves), canonical)
+    return GeometryDescriptor(*map(tuple, rows.values()), headers["CANONICAL-WEIGHT"])
+
+
+def _row(record) -> str:
+    """A record's file row: its fields in order, tuples spread, an incidence as divisor:weight."""
+    spread = (x for field in record for x in (field if isinstance(field, tuple) else (field,)))
+    return " ".join(f"{x.divisor}:{x.weight}" if isinstance(x, Incidence) else str(x) for x in spread)
 
 
 def format_descriptor(g: GeometryDescriptor) -> str:
-    lines = [
-        "DESCRIPTOR-VERSION 1",
-        f"CANONICAL-WEIGHT {g.canonical_weight}",
-        "",
-        "Y-POINTS",
-    ]
-    for y in g.y_points:
-        lines.append(f"{y.name} {y.weights[0]} {y.weights[1]} {y.weights[2]}")
-    lines.append("")
-    lines.append("S-POINTS")
-    for q in g.s_points:
-        incs = " ".join(f"{i.divisor}:{i.weight}" for i in q.incidences)
-        lines.append(f"{q.name} {q.weights[0]} {q.weights[1]} {q.image}" + (f" {incs}" if incs else ""))
-    lines.append("")
-    lines.append("S-CURVES")
-    for e in g.s_curves:
-        incs = " ".join(f"{i.divisor}:{i.weight}" for i in e.incidences)
-        lines.append(
-            f"{e.name} {e.image} {e.normal_weight} {e.self_intersection}" + (f" {incs}" if incs else "")
-        )
+    lines = ["DESCRIPTOR-VERSION 1", f"CANONICAL-WEIGHT {g.canonical_weight}"]
+    for head, records in zip(_SECTIONS, g):
+        lines += ["", head, *map(_row, records)]
     return "\n".join(lines) + "\n"

@@ -98,7 +98,7 @@ def build_diagram(kind: str, rank: int) -> DynkinDiagram:
 def parse_int(text: str) -> int:
     """The integer spelled by an optional ``-`` and then ASCII digits; ValueError otherwise.
 
-    Every integer read from text goes through here, so unlike ``int`` no
+    Every signed integer read from text goes through here, so unlike ``int`` no
     input takes a ``+``, an ``_``, surrounding space or a non-ASCII digit.
     """
     digits = text.removeprefix("-")
@@ -108,13 +108,11 @@ def parse_int(text: str) -> int:
 
 
 def node_index(name: str, rank: int) -> int:
-    """Parse a node label n1..n_rank (``n`` then an integer) to its 0-based index."""
-    if not name.startswith("n"):
+    """Parse a node label n1..n_rank (``n`` then ASCII digits) to its 0-based index."""
+    digits = name[1:]
+    if not (name.startswith("n") and digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad node name {name!r}")
-    try:
-        k = parse_int(name[1:])
-    except ValueError:
-        raise ValueError(f"bad node name {name!r}") from None
+    k = int(digits)
     if not 1 <= k <= rank:
         raise ValueError(f"node {name!r} out of range for rank {rank}")
     return k - 1

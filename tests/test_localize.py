@@ -432,6 +432,20 @@ class TestDescriptorFormat:
         text = "# header comment\n\n" + format_descriptor(g)
         assert parse_descriptor(text) == g
 
+    def test_exact_text(self):
+        # an empty section keeps its blank line and header; a row without
+        # incidences has no trailing space
+        g = GeometryDescriptor(
+            (YPoint("P1", (1, -2, 7)), YPoint("P2", (0, 3, -4))),
+            (),
+            (SCurve("E1", "P1", 2, -2, ()), SCurve("E2", "P2", -1, -2, (Incidence("F1", 3), Incidence("E1", -1)))),
+            -6,
+        )
+        text = ("DESCRIPTOR-VERSION 1\nCANONICAL-WEIGHT -6\n\nY-POINTS\nP1 1 -2 7\nP2 0 3 -4\n\nS-POINTS\n\n"
+                "S-CURVES\nE1 P1 2 -2\nE2 P2 -1 -2 F1:3 E1:-1\n")
+        assert format_descriptor(g) == text
+        assert parse_descriptor(text) == g
+
     @pytest.mark.parametrize("text", list(_BAD_DESCRIPTORS))
     def test_bad_inputs(self, text):
         with pytest.raises(DescriptorError, match=_BAD_DESCRIPTORS[text]):

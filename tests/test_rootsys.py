@@ -51,7 +51,8 @@ class TestBuildDiagram:
         assert node_index("n01", 8) == 0  # leading zeros are another spelling
         for name, fault in (("x1", "bad node name"), ("nx", "bad node name"), ("n9", "out of range"),
                             ("n0", "out of range"), ("n+1", "bad node name"), ("n1_0", "bad node name"),
-                            ("n\u0663", "bad node name"), ("n", "bad node name"), ("n 1", "bad node name")):
+                            ("n\u0663", "bad node name"), ("n", "bad node name"), ("n 1", "bad node name"),
+                            ("n-1", "bad node name"), ("n-0", "bad node name")):
             with pytest.raises(ValueError, match=fault):
                 node_index(name, 8)
 
