@@ -8,8 +8,6 @@ of half the sum of its white neighbours' multiplicities; the class comes
 from a positive root exactly when the lift has square -2.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -19,8 +17,8 @@ from .rootsys import (
     _Checked,
     DynkinDiagram,
     RootVector,
+    _flat,
     _positive_roots,
-    _unpack,
     build_diagram,
     is_positive_root,
     node_index,
@@ -102,15 +100,16 @@ class BPSRecord(NamedTuple):
 def bps_table(m: Marking) -> list[BPSRecord]:
     """Fold all positive roots and count fibers; n = count/2 per class.
 
-    Masks the black bytes out of the closure's packed roots, so roots with
-    one white part are one integer, and unpacks only the distinct fibers;
+    Masks the black bytes out of the closure's packed roots, so roots with one
+    white part are one integer, and reads the distinct fibers' white columns;
     the closure yields only roots, so none needs :func:`project`'s check.
     """
     rank = m.diagram.rank
     white_mask = sum(0xFF << 8 * (rank - 1 - i) for i in m.white_order)
     fibers = Counter(map(white_mask.__and__, _positive_roots(m.diagram)))
     fibers.pop(0, None)
-    classes = map(tuple_getter(m.white_order), _unpack(fibers, rank))
+    flat = _flat(fibers, rank)
+    classes = zip(*[flat[i::rank] for i in m.white_order])  # one column slice per white node
     halves = {n: Fraction(n, 2) for n in set(fibers.values())}  # a fiber count takes few values
     return [BPSRecord(cls, n, halves[n]) for cls, n in sorted(zip(classes, fibers.values()))]
 

@@ -506,6 +506,9 @@ def parse_descriptor(text: str) -> GeometryDescriptor:
                 raise DescriptorError(f"unsupported descriptor version {value}")
         elif head in _SECTIONS and len(tokens) == 1:
             section = head
+        elif head in _HEADERS or head in _SECTIONS:  # a reserved word, never a name
+            wanted = "one value" if head in _HEADERS else "no value"
+            raise DescriptorError(f"line {lineno}: {head} takes {wanted}, got {len(tokens) - 1}")
         elif "DESCRIPTOR-VERSION" not in headers:
             raise DescriptorError("descriptor must start with DESCRIPTOR-VERSION")
         elif section is None:

@@ -3,14 +3,11 @@
 Positive roots are enumerated twice, by code that shares nothing: a
 closure under adding simple roots, and an exact square-completion oracle
 that ``verify`` compares it with; the closure runs on packed integers and
-the oracle on an LDL^T scaled once to integers.  All vectors returned are
-positional integer tuples over the fixed node order n1..n_rank, so values
-stay comparable across modules and files.
+the oracle on a fraction-free elimination, so both are integer-only.  All
+vectors returned are positional integer tuples over the fixed node order
+n1..n_rank, so values stay comparable across modules and files.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt, lcm
@@ -142,25 +139,25 @@ def _positive_roots(d: DynkinDiagram) -> tuple[int, ...]:
     # q(v) + 2(Cv)_k + 2, so v + e_k is a root exactly when (Cv)_k = -1
     # (simply laced), and each root of height h + 1 is v + e_k for one or
     # more roots v of height h (a dict per height keeps it once).  v and Cv
-    # are packed with a byte per node, n1 most significant, each byte of cv
-    # offset by 0x41: adding the packed column C e_k never borrows, and v
-    # extends at the bytes 0x40.  ADE roots have (Cv)_k in -1..2, so every
-    # byte of cv stays in 0x40..0x43.
+    # are packed with a byte per node, n1 most significant, byte k of cv
+    # holding 0x7F - (Cv)_k: ADE roots have (Cv)_k in -1..2, so no byte
+    # leaves 0x7D..0x80 and no step borrows, and bit 7 marks the 0x80s,
+    # where v extends; the lowest, shifted down, is e_k and keys its column.
     rank = d.rank
     step = [1 << 8 * (rank - 1 - k) for k in range(rank)]
-    col = [2 * step[k] - sum([step[j] for j in d.neighbors(k)]) for k in range(rank)]
+    col = {step[k]: 2 * step[k] - sum([step[j] for j in d.neighbors(k)]) for k in range(rank)}
     ones = sum(step)
-    level = {step[k]: 0x41 * ones + col[k] for k in range(rank)}
+    level = {e: 0x7F * ones - c for e, c in col.items()}
     roots = []
     while level:
         roots += level
         higher = {}
         for v, cv in level.items():
-            cb = cv.to_bytes(rank, "big")
-            k = cb.find(0x40)
-            while k >= 0:
-                higher[v + step[k]] = cv + col[k]
-                k = cb.find(0x40, k + 1)
+            ext = cv >> 7 & ones
+            while ext:
+                e = ext & -ext
+                higher[v + e] = cv - col[e]
+                ext ^= e
         level = higher
     return tuple(sorted(roots))
 
@@ -170,61 +167,60 @@ def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
 
     Computed once per diagram by a closure that adds simple roots one
     height at a time to roots packed as integers, a byte per node, n1 most
-    significant, so numeric order is lexicographic order; each step adds a
-    packed column of C to the packed Cv, and ``bytes.find`` locates the k
-    with (Cv)_k = -1 where v extends.  The cache holds the packed integers,
-    which each call unpacks in one pass.
+    significant, so numeric order is lexicographic order; one shift and
+    mask of the packed Cv find every k where v extends.  The cache holds
+    the packed integers, which each call unpacks in one pass.
     """
-    return list(_unpack(_positive_roots(d), d.rank))
+    return list(zip(*[iter(_flat(_positive_roots(d), d.rank))] * d.rank))
 
 
-def _unpack(packed, rank: int):
-    """Packed vectors (a byte per node, n1 most significant) as tuples, in one pass."""
-    flat = b"".join(map(int.to_bytes, packed, repeat(rank), repeat("big")))
-    return zip(*[iter(flat)] * rank)
+def _flat(packed, rank: int) -> bytes:
+    """Packed vectors (a byte per node, n1 most significant) as their bytes, joined in one pass."""
+    return b"".join(map(int.to_bytes, packed, repeat(rank), repeat("big")))
 
 
 def enumerate_positive_roots_bruteforce(d: DynkinDiagram) -> list[RootVector]:
     """Independent oracle: every v >= 0 with q(v) = v^T C v = 2, by completing squares.
 
-    An exact LDL^T of the Cartan form writes q(v) as
-    sum_i p_i (v_i + sum_(j>i) l_ji v_j)^2 with pivots p_i > 0; scaled by
-    P L^2, with L and P the lcm of the denominators of the l_ji and the p_i,
-    every term is an integer.  Choosing v_rank, ..., v_1 in turn, each
-    square may take at most what is left of the budget 2 P L^2, which bounds
-    each v_i to an interval found with ``isqrt``; a budget ending at 0
-    means q(v) = 2 (so v != 0).  No coefficient bound is assumed (Fincke
-    and Pohst, Math. Comp. 44, 1985).  Shares no code with the closure.
+    Fraction-free (Bareiss) elimination of the Cartan form leaves row k
+    as u_k, with u_k[k] the leading minor D_(k+1) (D_0 = 1), and writes
+    q(v) = sum_k (u_k . v)^2 / (D_k D_(k+1)); scaled by M, the lcm of the
+    D_k D_(k+1), every term is an integer.  Choosing v_rank, ..., v_1 in
+    turn, each square may take at most what is left of the budget 2 M,
+    which bounds each v_k to an interval found with ``isqrt``; a budget
+    ending at 0 means q(v) = 2 (so v != 0).  No coefficient bound is
+    assumed (Fincke and Pohst, Math. Comp. 44, 1985; Bareiss, Math. Comp.
+    22, 1968).  Integers only, and shares no code with the closure.
     """
     n = d.rank
-    form = [[Fraction(c) for c in row] for row in d.cartan_matrix()]
-    pivot: list[Fraction] = []
-    low = [[Fraction(0)] * n for _ in range(n)]
+    a = [list(row) for row in d.cartan_matrix()]
+    minors = [1]
     for k in range(n):
-        pivot.append(form[k][k] - sum(low[k][j] ** 2 * pivot[j] for j in range(k)))
         for i in range(k + 1, n):
-            low[i][k] = (form[i][k] - sum(low[i][j] * low[k][j] * pivot[j] for j in range(k))) / pivot[k]
-    scale_low = lcm(*(x.denominator for row in low for x in row))
-    scale_pivot = lcm(*(p.denominator for p in pivot))
-    lo = [[int(x * scale_low) for x in row] for row in low]
-    pv = [int(p * scale_pivot) for p in pivot]
-    v = [0] * n
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // minors[k]  # exact
+        minors.append(a[k][k])
+    dens = [p * q for p, q in zip(minors, minors[1:])]  # D_k D_(k+1)
+    scale = lcm(*dens)
+    # per node: D_(k+1), M / (D_k D_(k+1)), and u_k's nonzero entries past k as (index in tail, value)
+    rows = [(minors[k + 1], scale // dens[k], [(j - k - 1, a[k][j]) for j in range(k + 1, n) if a[k][j]])
+            for k in range(n)]
     hits: list[RootVector] = []
 
-    def choose(i: int, budget: int) -> None:
-        if i < 0:
+    def choose(k: int, budget: int, tail: RootVector) -> None:  # tail = (v_(k+1), ..., v_rank), chosen
+        if k < 0:
             if budget == 0:
-                hits.append(tuple(v))
+                hits.append(tail)
             return
-        # pv_i (L x + s)^2 <= budget, with s = L * shift, exactly when |L x + s| <= r,
+        pivot, weight, row = rows[k]
+        # weight (pivot x + s)^2 <= budget exactly when |pivot x + s| <= r,
         # so every x in the range leaves a budget >= 0
-        s = sum(lo[j][i] * v[j] for j in range(i + 1, n))
-        r = isqrt(budget // pv[i])
-        for x in range(max(0, -((r + s) // scale_low)), (r - s) // scale_low + 1):
-            v[i] = x
-            choose(i - 1, budget - pv[i] * (scale_low * x + s) ** 2)
+        s = sum([c * tail[i] for i, c in row])
+        r = isqrt(budget // weight)
+        for x in range(max(0, -((r + s) // pivot)), (r - s) // pivot + 1):
+            choose(k - 1, budget - weight * (pivot * x + s) ** 2, (x, *tail))
 
-    choose(n - 1, 2 * scale_pivot * scale_low**2)
+    choose(n - 1, 2 * scale, ())
     return sorted(hits)
 
 

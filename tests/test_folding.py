@@ -16,6 +16,7 @@ from adebps.folding import (
     lift,
     parse_marking,
     project,
+    tuple_getter,
 )
 from adebps.rootsys import build_diagram, cartan_pairing, enumerate_positive_roots, highest_root
 
@@ -342,16 +343,22 @@ def _lift_from_definition(cls, mk):
 
 
 @st.composite
-def _markings_and_classes(draw):
-    """A diagram, a pairwise non-adjacent black set, a shuffled white order, and a nonzero class."""
+def _independent_markings(draw):
+    """A diagram, a pairwise non-adjacent black set and a shuffled white order."""
     d = build_diagram(*draw(st.sampled_from(_DIAGRAMS)))
     black: set[int] = set()
     for node in draw(st.permutations(range(d.rank))):
         if draw(st.booleans()) and not any(nb in black for nb in d.neighbors(node)) and len(black) < d.rank - 1:
             black.add(node)
     white = draw(st.permutations([i for i in range(d.rank) if i not in black]))
-    cls = draw(st.tuples(*[st.integers(0, 9)] * len(white)).filter(any))
-    return Marking(d, frozenset(black), tuple(white)), cls
+    return Marking(d, frozenset(black), tuple(white))
+
+
+@st.composite
+def _markings_and_classes(draw):
+    """An independent marking and a nonzero class."""
+    mk = draw(_independent_markings())
+    return mk, draw(st.tuples(*[st.integers(0, 9)] * len(mk.white_order)).filter(any))
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,6 +366,25 @@ def _markings_and_classes(draw):
 def test_lift_matches_its_definition(marking_and_class):
     mk, cls = marking_and_class
     assert tuple(lift(cls, mk)) == _lift_from_definition(cls, mk)
+
+
+@st.composite
+def _markings_and_box_classes(draw):
+    """An independent marking and a nonzero class in the box one past the highest root, over its white nodes."""
+    mk = draw(_independent_markings())
+    h = highest_root(mk.diagram)
+    return mk, draw(st.tuples(*[st.integers(0, h[i] + 1) for i in mk.white_order]).filter(any))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_markings_and_box_classes())
+def test_fiber_count_is_two_to_the_odd_neighbour_sums(marking_and_class):
+    # each black coordinate of a root over c minimizes 2 v_b^2 - 2 v_b k_b: once for k_b even,
+    # twice for k_b odd; so c has 2^m roots, m = #{j : k_j odd}, when its lift has square -2, else none
+    mk, cls = marking_and_class
+    lft = lift(cls, mk)
+    counts = {r.cls: r.fiber_count for r in bps_table(mk)}
+    assert counts.get(cls) == (2 ** sum(k & 1 for k in lft.k) if lft.self_pairing == -2 else None)
 
 
 # Ranks stay small: a marking of rank r builds a diagram with r nodes.
@@ -426,6 +452,11 @@ def _fold_markings(draw):
 @given(_fold_markings())
 def test_bps_table_equals_naive_fold(mk):
     assert [(r.cls, r.fiber_count, r.invariant) for r in bps_table(mk)] == _naive_fold(mk)
+
+
+@pytest.mark.parametrize("indices, want", [((2, 0), (7, 5)), ((2,), (7,)), ((3,), (8,)), ((), ())])
+def test_tuple_getter_returns_a_tuple_of_the_entries(indices, want):
+    assert tuple_getter(indices)((5, 6, 7, 8)) == want
 
 
 def _alternating(kind, rank, parity):

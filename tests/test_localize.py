@@ -421,6 +421,11 @@ _BAD_DESCRIPTORS = {
     _HEAD + _P1 + "S-CURVES\nE1 P1 1 -2 :1\n": "^line 6: bad incidence ':1'$",
     _HEAD + "P1 1 1 1\n" + _P1: "^line 3: data outside of a section$",
     _HEAD + "Y-POINTS\nS-POINTS\nQ1 1 2 P1\n": "^no Y-POINTS given$",
+    # a header or section keyword with the wrong number of fields is never a data row
+    _HEAD + "Y-POINTS\nCANONICAL-WEIGHT 1 1 1\n": "^line 4: CANONICAL-WEIGHT takes one value, got 3$",
+    _HEAD + "Y-POINTS\nS-POINTS 2\n": "^line 4: S-POINTS takes no value, got 1$",
+    _HEAD + _P1 + "descriptor-version\n": "^line 5: DESCRIPTOR-VERSION takes one value, got 0$",
+    "y-points P1 1 1 1\n": "^line 1: Y-POINTS takes no value, got 4$",
 }
 
 

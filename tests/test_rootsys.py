@@ -1,8 +1,11 @@
+import ast
+import inspect
 import random
 from itertools import product
 
 import pytest
 
+from adebps import rootsys
 from adebps.rootsys import (
     DynkinDiagram,
     build_diagram,
@@ -132,7 +135,7 @@ def test_positive_root_counts(kind, rank, count):
 VERIFY_DIAGRAMS = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
 
 
-@pytest.mark.parametrize("kind,rank", VERIFY_DIAGRAMS + [("A", 16), ("D", 12)])
+@pytest.mark.parametrize("kind,rank", VERIFY_DIAGRAMS + [("A", 16), ("D", 12), ("A", 20), ("D", 16)])
 def test_closure_equals_bruteforce(kind, rank):
     d = build_diagram(kind, rank)
     assert enumerate_positive_roots(d) == enumerate_positive_roots_bruteforce(d)
@@ -168,8 +171,21 @@ def test_closure_counts(kind, rank, count):
     assert roots == sorted(set(roots))
     assert all(is_positive_root(d, v) for v in roots)
     assert len(roots) == count
-    if rank <= 12:
-        assert roots == enumerate_positive_roots_bruteforce(d)
+    assert roots == enumerate_positive_roots_bruteforce(d)
+
+
+def test_oracle_is_integer_only_and_shares_no_code_with_the_closure():
+    tree = ast.parse(inspect.getsource(rootsys))
+    nodes = list(ast.walk(tree))
+    assert not any(isinstance(n, ast.Constant) and type(n.value) is float for n in nodes)
+    assert not any(isinstance(n, ast.Div) for n in nodes)  # true division makes floats
+    imported = {a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not imported & {"fractions", "Fraction", "decimal", "Decimal"}
+    oracle = next(n for n in tree.body if getattr(n, "name", None) == "enumerate_positive_roots_bruteforce")
+    names = {n.id for n in ast.walk(oracle) if isinstance(n, ast.Name)}
+    assert not names & {"_positive_roots", "_flat", "enumerate_positive_roots", "highest_root", "cartan_pairing"}
+    roots = enumerate_positive_roots_bruteforce(build_diagram("E", 8))
+    assert all(type(v) is tuple and all(type(c) is int for c in v) for v in roots)
 
 
 class TestBruteforceBound:
