@@ -10,7 +10,8 @@ from a positive root exactly when the lift has square -2.
 
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import and_
 from typing import NamedTuple
 
 from .rootsys import (
@@ -83,14 +84,6 @@ def project(root: RootVector, m: Marking) -> CurveClass | None:
     return white if any(white) else None
 
 
-def tuple_getter(indices: tuple[int, ...]):
-    """The entries at ``indices`` of a tuple, as a tuple, by one ``itemgetter``."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    # itemgetter of one index returns a scalar, so one or no indices read a slice
-    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
-
-
 class BPSRecord(NamedTuple):
     cls: CurveClass
     fiber_count: int
@@ -102,16 +95,18 @@ def bps_table(m: Marking) -> list[BPSRecord]:
 
     Masks the black bytes out of the closure's packed roots, so roots with one
     white part are one integer, and reads the distinct fibers' white columns;
-    the closure yields only roots, so none needs :func:`project`'s check.
+    the closure yields only roots, so none needs :func:`project`'s check.  The
+    sorted (class, count, half) triples become records by ``BPSRecord._make``.
     """
     rank = m.diagram.rank
     white_mask = sum(0xFF << 8 * (rank - 1 - i) for i in m.white_order)
-    fibers = Counter(map(white_mask.__and__, _positive_roots(m.diagram)))
+    fibers = Counter(map(and_, _positive_roots(m.diagram), repeat(white_mask)))
     fibers.pop(0, None)
     flat = _flat(fibers, rank)
     classes = zip(*[flat[i::rank] for i in m.white_order])  # one column slice per white node
-    halves = {n: Fraction(n, 2) for n in set(fibers.values())}  # a fiber count takes few values
-    return [BPSRecord(cls, n, halves[n]) for cls, n in sorted(zip(classes, fibers.values()))]
+    counts = fibers.values()
+    halves = {n: Fraction(n, 2) for n in set(counts)}  # a fiber count takes few values
+    return list(map(BPSRecord._make, sorted(zip(classes, counts, map(halves.__getitem__, counts)))))
 
 
 class LiftedDivisor(NamedTuple):
@@ -172,7 +167,7 @@ def lift(cls: CurveClass, m: Marking) -> LiftedDivisor:
 def parse_marking(text: str) -> Marking:
     fields: dict[str, tuple[int, list[str]]] = {}  # key -> (line number, values)
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         key, *values = line.split()

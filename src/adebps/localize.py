@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift, tuple_getter
+from .folding import CurveClass, LiftedDivisor, Marking, divisor_labels, lift
 from .rootsys import parse_int
 from .symring import (
     EulerClass,
@@ -213,6 +214,16 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[str, _Point]:
         plans[p.name] = _Point(p, tuple(q for q, _ in points), tuple(e for e, _ in curves),
                                tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
     return plans
+
+
+def tuple_getter(indices: tuple[int, ...]):
+    """The entries at ``indices`` of a tuple, as a tuple, by one ``itemgetter``."""
+    if not indices:
+        return itemgetter(slice(0))
+    if len(indices) == 1:  # itemgetter of one index returns a scalar, so read a one-entry slice
+        (i,) = indices
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*indices)
 
 
 def _point_denominator(p: YPoint, points, curves) -> Quotient:
@@ -493,7 +504,7 @@ def parse_descriptor(text: str) -> GeometryDescriptor:
     section: str | None = None
     rows: dict[str, list] = {head: [] for head in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         tokens = line.split()

@@ -142,12 +142,15 @@ def _positive_roots(d: DynkinDiagram) -> tuple[int, ...]:
     # are packed with a byte per node, n1 most significant, byte k of cv
     # holding 0x7F - (Cv)_k: ADE roots have (Cv)_k in -1..2, so no byte
     # leaves 0x7D..0x80 and no step borrows, and bit 7 marks the 0x80s,
-    # where v extends; the lowest, shifted down, is e_k and keys its column.
+    # where v extends.  The highest pending site, at bit length 8j + 1, is
+    # node rank - 1 - j, so ``site[j]`` holds its e_k and packed column, and
+    # a step allocates no integer but the new v and its cv.
     rank = d.rank
     step = [1 << 8 * (rank - 1 - k) for k in range(rank)]
-    col = {step[k]: 2 * step[k] - sum([step[j] for j in d.neighbors(k)]) for k in range(rank)}
+    col = [2 * step[k] - sum([step[j] for j in d.neighbors(k)]) for k in range(rank)]
     ones = sum(step)
-    level = {e: 0x7F * ones - c for e, c in col.items()}
+    site = list(zip(step, col))[::-1]
+    level = {e: 0x7F * ones - c for e, c in site}
     roots = []
     while level:
         roots += level
@@ -155,8 +158,8 @@ def _positive_roots(d: DynkinDiagram) -> tuple[int, ...]:
         for v, cv in level.items():
             ext = cv >> 7 & ones
             while ext:
-                e = ext & -ext
-                higher[v + e] = cv - col[e]
+                e, c = site[ext.bit_length() >> 3]
+                higher[v + e] = cv - c
                 ext ^= e
         level = higher
     return tuple(sorted(roots))
@@ -168,7 +171,9 @@ def enumerate_positive_roots(d: DynkinDiagram) -> list[RootVector]:
     Computed once per diagram by a closure that adds simple roots one
     height at a time to roots packed as integers, a byte per node, n1 most
     significant, so numeric order is lexicographic order; one shift and
-    mask of the packed Cv find every k where v extends.  The cache holds
+    mask of the packed Cv find every k where v extends, taken highest
+    first by bit length, which indexes a table of e_k and its column, so
+    no step negates, masks or hashes a big integer.  The cache holds
     the packed integers, which each call unpacks in one pass.
     """
     return list(zip(*[iter(_flat(_positive_roots(d), d.rank))] * d.rank))

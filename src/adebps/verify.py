@@ -2,8 +2,9 @@
 
 The quick subset exercises the four reference classes of the built-in
 case; the full run adds enumeration oracles, whole-table consistency,
-the non-root scan, the invariants of every total on the class box
-[0,3]^4 and the blackening uniqueness search.
+the fold count on every bipartite ADE marking up to rank 8, the non-root
+scan, the invariants of every total on the class box [0,3]^4 and the
+blackening uniqueness search.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import catalog
-from .folding import bps_table, lift, project
+from .folding import Marking, bps_table, lift, project
 from .localize import (
     localize_class,
     point_contribution,
@@ -90,6 +91,10 @@ GOLDEN_SUMMANDS = {
 }
 
 
+#: every ADE diagram up to rank 8
+ADE_UP_TO_8 = (*(("A", n) for n in range(1, 9)), *(("D", n) for n in range(4, 9)), ("E", 6), ("E", 7), ("E", 8))
+
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -112,12 +117,10 @@ def _root_counts(_m, _g) -> str:
 
 
 def _closure_equals_bruteforce(_m, _g) -> str:
-    kinds = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
-    kinds += [("E", 6), ("E", 7), ("E", 8)]
-    for kind, rank in kinds:
+    for kind, rank in ADE_UP_TO_8:
         d = build_diagram(kind, rank)
         _expect(enumerate_positive_roots(d) == enumerate_positive_roots_bruteforce(d), f"{kind}{rank}")
-    return f"{len(set(kinds))} diagrams"
+    return f"{len(ADE_UP_TO_8)} diagrams"
 
 
 def _highest_root(m, _g) -> str:
@@ -156,6 +159,34 @@ def _lift_validity(m, _g) -> str:
     blacks = tuple(top.full[b] for b in m.black_order)
     _expect(blacks == (2, 4, 6, 2), f"black coefficients {blacks}")
     return "36 lifts, longest root gives (2, 4, 6, 2)"
+
+
+def _bipartite_markings():
+    """Each colour class of every ADE diagram up to rank 8 as the black set, white in node order."""
+    for kind, rank in ADE_UP_TO_8:
+        d = build_diagram(kind, rank)
+        odd = [False] * rank  # odd distance from n1
+        for i, j in d.edges:  # canonical edges reach each node j from an earlier i
+            odd[j] = not odd[i]
+        for black_odd in (False, True):
+            white = tuple(i for i in range(rank) if odd[i] != black_odd)
+            if white:  # A1 with n1 black has no class
+                yield Marking(d, frozenset(i for i in range(rank) if odd[i] == black_odd), white)
+
+
+def _fold_counts(_m, _g) -> str:
+    # a class is the white part of 2^m roots, m the number of odd white-neighbour sums of its lift
+    markings = classes = 0
+    for mk in _bipartite_markings():
+        where = f"{mk.diagram.kind}{mk.diagram.rank} with black {mk.black_order}"
+        for rec in bps_table(mk):
+            lft = lift(rec.cls, mk)
+            _expect(lft.self_pairing == -2, f"{where}, {rec.cls}: square {lft.self_pairing}")
+            odd = sum([k & 1 for k in lft.k])
+            _expect(rec.fiber_count == 1 << odd, f"{where}, {rec.cls}: {rec.fiber_count} roots, not 2^{odd}")
+            classes += 1
+        markings += 1
+    return f"{markings} bipartite markings of A1-A8, D4-D8 and E6-E8, {classes} classes: each has 2^m roots"
 
 
 def _nonroot_classes_scan(m, _g) -> str:
@@ -283,6 +314,7 @@ FULL_CHECKS = (
     ("highest root and its white part", _highest_root),
     ("folded table statistics", _table_statistics),
     ("lift validity across the table image", _lift_validity),
+    ("fiber counts are 2^m on the bipartite markings up to rank 8", _fold_counts),
     ("square of the lift rejects non-root classes", _nonroot_classes_scan),
     ("totals on the class box [0,3]^4 are integral and Serre antisymmetric", _box_invariants),
     ("folding and localization agree on every table class", _cross_pipeline_full),

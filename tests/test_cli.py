@@ -274,7 +274,7 @@ class TestVerify:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) - 1 >= 12
-        assert lines[-1] == "15/15 checks passed"
+        assert lines[-1] == "16/16 checks passed"
 
     def test_unknown_case_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "missing")
@@ -424,5 +424,5 @@ def test_cli_import_leaves_numpy_unloaded():
     p = run_python("-c", code)
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
-    assert lines[0] == "False" and "15/15 checks passed" in p.stdout
+    assert lines[0] == "False" and "16/16 checks passed" in p.stdout
     assert lines[-1] == "0 False"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adebps.catalog import e8_a5_marking
 from adebps.folding import (
+    BPSRecord,
     Marking,
     bps_table,
     divisor_labels,
@@ -16,7 +17,6 @@ from adebps.folding import (
     lift,
     parse_marking,
     project,
-    tuple_getter,
 )
 from adebps.rootsys import build_diagram, cartan_pairing, enumerate_positive_roots, highest_root
 
@@ -115,6 +115,10 @@ class TestTable:
             if any(white):
                 fibers[white] += 1
         assert {rec.cls: rec.fiber_count for rec in table} == dict(fibers)
+
+    def test_records_are_bps_records_with_fraction_invariants(self, table):
+        assert type(table) is list
+        assert all(type(rec) is BPSRecord and type(rec.invariant) is Fraction for rec in table)
 
     def test_sorted_lexicographically(self, table):
         classes = [rec.cls for rec in table]
@@ -454,11 +458,6 @@ def test_bps_table_equals_naive_fold(mk):
     assert [(r.cls, r.fiber_count, r.invariant) for r in bps_table(mk)] == _naive_fold(mk)
 
 
-@pytest.mark.parametrize("indices, want", [((2, 0), (7, 5)), ((2,), (7,)), ((3,), (8,)), ((), ())])
-def test_tuple_getter_returns_a_tuple_of_the_entries(indices, want):
-    assert tuple_getter(indices)((5, 6, 7, 8)) == want
-
-
 def _alternating(kind, rank, parity):
     """The marking whose black nodes are one colour class of the tree's 2-colouring, white ascending."""
     d = build_diagram(kind, rank)
@@ -478,6 +477,7 @@ def test_bps_table_equals_naive_fold_at_the_largest_ladder_ranks(kind, rank, par
     table = bps_table(shuffled)
     assert [(r.cls, r.fiber_count, r.invariant) for r in table] == _naive_fold(shuffled)
     assert all(type(r.cls) is tuple and all(type(c) is int for c in r.cls) for r in table)
+    assert all(type(r) is BPSRecord and type(r.invariant) is Fraction for r in table)
 
 
 @pytest.mark.parametrize(

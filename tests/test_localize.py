@@ -31,6 +31,7 @@ from adebps.localize import (
     point_contribution,
     restriction_weights,
     total_chi,
+    tuple_getter,
     validate_descriptor,
 )
 from adebps.rootsys import build_diagram
@@ -1074,6 +1075,11 @@ def test_descriptor_resolved_once(m, g, monkeypatch):
             chern_character_at(p, lft, g, m)
     assert len(calls) == 1 and _resolve.cache_info().misses == 1
 
+
+
+@pytest.mark.parametrize("indices, want", [((2, 0), (7, 5)), ((2,), (7,)), ((3,), (8,)), ((), ())])
+def test_tuple_getter_returns_a_tuple_of_the_entries(indices, want):
+    assert tuple_getter(indices)((5, 6, 7, 8)) == want
 
 
 def test_validation_compiles_nothing(m, g, monkeypatch):

@@ -2,8 +2,11 @@ import ast
 import inspect
 import random
 from itertools import product
+from operator import lt, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adebps import rootsys
 from adebps.rootsys import (
@@ -156,6 +159,19 @@ def test_largest_e_coefficient(rank, largest):
         assert max(max(r) for r in roots) == largest
 
 
+def _sorted_unique_roots(d, roots) -> bool:
+    """Whether ``roots`` ascend strictly and each is a nonzero v >= 0 of length rank and square 2.
+
+    C is positive definite and even, so each nonzero v has v^T C v / 2 >= 1, and the
+    halves add up to one per vector exactly when every vector has square 2.
+    """
+    cols = list(zip(*roots))
+    squares = sum([sum(map(mul, c, c)) for c in cols])
+    edges = sum([sum(map(mul, cols[i], cols[j])) for i, j in d.edges])
+    return all(map(lt, roots, roots[1:])) and any(roots[0]) and set(map(len, roots)) == {d.rank} \
+        and min(map(min, cols)) >= 0 and squares - edges == len(roots)
+
+
 #: A1-A20, D4-D16 and E6-E8, with the number of positive roots of each
 ADE_COUNTS = (
     [("A", n, n * (n + 1) // 2) for n in range(1, 21)]
@@ -168,8 +184,7 @@ ADE_COUNTS = (
 def test_closure_counts(kind, rank, count):
     d = build_diagram(kind, rank)
     roots = enumerate_positive_roots(d)
-    assert roots == sorted(set(roots))
-    assert all(is_positive_root(d, v) for v in roots)
+    assert _sorted_unique_roots(d, roots)
     assert len(roots) == count
     assert roots == enumerate_positive_roots_bruteforce(d)
 
@@ -205,8 +220,23 @@ def test_large_closure_sorted_unique_valid(kind, rank, count):
     d = build_diagram(kind, rank)
     roots = enumerate_positive_roots(d)
     assert len(roots) == count
-    assert roots == sorted(set(roots))
-    assert all(is_positive_root(d, v) for v in roots)
+    assert _sorted_unique_roots(d, roots)
+
+
+#: A1-A64 and D4-D64: the packed roots are 8 * rank bits wide, so they cross
+#: each 30-bit digit boundary of a Python integer up to 512 bits
+WIDE = [("A", n) for n in range(1, 65)] + [("D", n) for n in range(4, 65)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(WIDE))
+def test_closure_across_packed_widths(diagram):
+    kind, rank = diagram
+    d = build_diagram(kind, rank)
+    roots = enumerate_positive_roots(d)
+    assert len(roots) == (rank * (rank + 1) // 2 if kind == "A" else rank * (rank - 1))
+    assert _sorted_unique_roots(d, roots)
+    assert highest_root(d) == ((1,) * rank if kind == "A" else (1, *(2,) * (rank - 3), 1, 1))
 
 
 def test_enumeration_is_a_fresh_list_of_int_tuples():

@@ -29,6 +29,8 @@ PASSING_DETAILS = {
     "highest root and its white part": "(2, 3, 4, 5, 6, 4, 2, 3)",
     "folded table statistics": "36 classes, 116 roots, 4 dropped",
     "lift validity across the table image": "36 lifts, longest root gives (2, 4, 6, 2)",
+    "fiber counts are 2^m on the bipartite markings up to rank 8":
+        "31 bipartite markings of A1-A8, D4-D8 and E6-E8, 306 classes: each has 2^m roots",
     "square of the lift rejects non-root classes": "2364 non-root classes all have square <= -4",
     "totals on the class box [0,3]^4 are integral and Serre antisymmetric":
         "255 classes of [0,3]^4, root and non-root: integral, chi(1) = 0, Serre antisymmetric"
@@ -112,6 +114,11 @@ FAULTS = {
     "lift-delta": ("_lift_validity", verify, "lift", _field("delta", lambda delta: (0,) * len(delta)),
                    r": delta \(0, 0, 0, 0\), curve pairings \("),
     "lift-top": ("_lift_validity", verify, "lift", _top_lifted_as_another_class, r"^black coefficients \("),
+    "fold-square": ("_fold_counts", verify, "lift", _field("self_pairing", lambda square: square - 2),
+                    r"^A1 with black \(\), \(1,\): square -4$"),
+    # one more odd white-neighbour sum doubles the expected count
+    "fold-count": ("_fold_counts", verify, "lift", _field("k", lambda k: (*k, 1)),
+                   r"^A1 with black \(\), \(1,\): 1 roots, not 2\^1$"),
     "nonroot-square": ("_nonroot_classes_scan", verify, "lift", _field("self_pairing", lambda square: square // 2),
                        r"^\(\d, \d, \d, \d\): square -[23]$"),
     "box-at-one": ("_box_invariants", verify, "total_chi", _then(lambda chi: chi + LaurentPoly({0: 1})),
