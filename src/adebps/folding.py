@@ -138,7 +138,7 @@ def lift(cls: CurveClass, m: Marking) -> LiftedDivisor:
     if m._lift_plan is None:
         raise ValueError("adjacent black nodes: lift is not defined")
     rank, blacks, whites = m._lift_plan
-    full = [0] * rank
+    full = [None] * rank  # a marking covers every node, so each entry is written below
     for node, mult in zip(m.white_order, cls):
         full[node] = mult
     ks = []
@@ -184,7 +184,8 @@ def parse_marking(text: str) -> Marking:
         rank = parse_int(rank_text)
     except ValueError:
         raise ValueError(f"marking line {lineno}: bad rank {rank_text!r}") from None
-    d = build_diagram(fields["kind"][1][0], rank)
+    _, (kind,) = fields["kind"]
+    d = build_diagram(kind, rank)
 
     def nodes(key: str) -> list[int]:
         lineno, names = fields[key]

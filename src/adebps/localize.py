@@ -35,8 +35,7 @@ N_p = P_p * D + R_p.  The total is the sum of the P_p, integral exactly
 when the R_p cancel.
 """
 
-from __future__ import annotations
-
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -49,7 +48,6 @@ from .symring import (
     LaurentPoly,
     Quotient,
     VirtualCharacter,
-    common_denominator,
     divide_with_remainder,
     euler_class,
     expfactor,
@@ -204,7 +202,10 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[str, _Point]:
     over it.
     """
     over = _checked_components(g, m)
-    den = tuple(sorted(common_denominator(_point_denominator(p, *c) for p, c in over.items()).items()))
+    exps = Counter()  # D's exponents: the largest of each over the points
+    for p, c in over.items():
+        exps |= _point_exponents(p, *c)
+    den = tuple(sorted(exps.items()))
     plans = {}
     for p, (points, curves) in over.items():
         support = sorted({j for _, form in points for j, _ in form}.union(*(nodes for _, nodes in curves)))
@@ -226,11 +227,15 @@ def tuple_getter(indices: tuple[int, ...]):
     return itemgetter(*indices)
 
 
-def _point_denominator(p: YPoint, points, curves) -> Quotient:
-    """1 over p's largest residue denominators, doubled and cancelled by its weights as ``_point_sums`` does."""
-    s = Quotient._raw({0: 1}, common_denominator(
-        [Quotient(1, q.weights) for q, _ in points] + [Quotient(1, (e.normal_weight,) * 2) for e, _ in curves]))
-    return times_expfactors(s * s, p.weights)
+def _point_exponents(p: YPoint, points, curves) -> Counter:
+    """k -> e_k of p's share of D: the largest exponent of each 1 - mu^k over its residue
+    denominators, doubled, less one per tangent weight of p, as ``_point_sums`` cancels it."""
+    largest = Counter()
+    for q, _ in points:
+        largest |= Counter(map(abs, q.weights))
+    for e, _ in curves:
+        largest |= Counter({abs(e.normal_weight): 2})
+    return largest + largest - Counter(map(abs, p.weights))
 
 
 def _point_key(weights, points, curves, den, v: tuple[int, ...]) -> tuple:

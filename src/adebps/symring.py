@@ -77,9 +77,7 @@ def _point(x) -> Fraction:
 def _as_poly(x) -> LaurentPoly | None:
     if isinstance(x, LaurentPoly):
         return x
-    if _is_int(x):
-        return LaurentPoly._raw({0: x} if x else {})
-    return None
+    return LaurentPoly._raw({0: x} if x else {}) if _is_int(x) else None
 
 
 def _as_quotient(x) -> Quotient | None:
@@ -131,14 +129,6 @@ class LaurentPoly:
         out = cls.__new__(cls)
         out.coeffs = coeffs
         return out
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls._raw({0: 1})
 
     def coefficient(self, w: int) -> int:
         return self.coeffs.get(w, 0)
@@ -411,23 +401,17 @@ def divide_with_remainder(u: Quotient, den: Mapping[int, int]) -> tuple[LaurentP
     """
     if any(e > den.get(k, 0) for k, e in u.den.items()):
         raise ValueError(f"denominator {dict(den)} does not contain {u.den}")
-    num = _lift(u, den)
-    d = sorted(_expand(den).items())  # d[0] is (0, 1)
-    n, top = d[-1]  # deg D and its coefficient, +-1
-    lo, hi = min(min(num, default=0), 0), max(max(num, default=0), n - 1)
-    a = [0] * (hi - lo + 1)
-    for w, c in num.items():
-        a[w - lo] = c
-    quo: dict[int, int] = {}
-    for i in (*range(lo, 0), *range(hi, n - 1, -1)):
-        c = a[i - lo]
-        if c:  # subtract c * mu^s * D, which clears weight i
-            s, c = (i, c) if i < 0 else (i - n, c * top)
-            quo[s] = c
-            for j, dj in d:
-                a[s + j - lo] -= c * dj
-    rem = {w: a[w - lo] for w in range(n) if a[w - lo]}
-    return LaurentPoly._raw(quo), LaurentPoly._raw(rem)
+    rem, quo = _lift(u, den), {}
+    d = _expand(den)  # 1 at weight 0, +-1 at weight deg D
+    n = max(d)
+    while rem and (i := min(rem)) < 0:  # clear the lowest weight with c * mu^i * D
+        quo[i] = c = rem[i]
+        rem = _add(rem, _mul({i: -c}, d))
+    while rem and (i := max(rem)) >= n:  # then the highest with c * mu^(i - deg D) * D
+        quo[i - n] = c = rem[i] * d[n]
+        rem = _add(rem, _mul({i - n: -c}, d))
+    # a fresh copy drops the slots its deletions left, which every per-class sum would walk
+    return LaurentPoly._raw(quo), LaurentPoly._raw(dict(rem))
 
 
 class EulerClass(NamedTuple):

@@ -108,12 +108,11 @@ def _expect(ok: bool, message: str = "") -> None:
 
 
 def _root_counts(_m, _g) -> str:
-    expected = {("A", n): n * (n + 1) // 2 for n in range(1, 9)}
-    expected.update({("D", 4): 12, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120})
-    for (kind, rank), want in sorted(expected.items()):
+    for kind, rank in ADE_UP_TO_8:
+        want = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1), "E": {6: 36, 7: 63, 8: 120}.get(rank)}[kind]
         got = len(enumerate_positive_roots(build_diagram(kind, rank)))
         _expect(got == want, f"{kind}{rank}: {got} roots, expected {want}")
-    return f"{len(expected)} diagrams"
+    return f"{len(ADE_UP_TO_8)} diagrams"
 
 
 def _closure_equals_bruteforce(_m, _g) -> str:

@@ -17,7 +17,9 @@ from adebps.localize import (
     SPoint,
     YPoint,
     _certified_sum,
+    _checked_components,
     _Point,
+    _point_exponents,
     _point_record,
     _point_records,
     _point_sums,
@@ -44,6 +46,7 @@ from adebps.symring import (
     euler_class,
     expfactor,
     quotient_sum,
+    times_expfactors,
 )
 from adebps.verify import (
     GOLDEN_CH,
@@ -272,7 +275,7 @@ class TestCharacters:
     def test_golden_point_totals(self, g, m, top):
         for p in g.y_points:
             ch = chern_character_at(p, top, g, m)
-            pref = prod((expfactor(-w) for w in p.weights), start=LaurentPoly.one())
+            pref = prod((expfactor(-w) for w in p.weights), start=LaurentPoly({0: 1}))
             assert ch.dual() * ch == GOLDEN_CONTRIBUTIONS[p.name] * pref
         assert localize_class((3, 5, 4, 3), m, g).contributions == GOLDEN_CONTRIBUTIONS
 
@@ -983,6 +986,41 @@ def test_resolved_denominator(m, g):
     curve = GeometryDescriptor((YPoint("P", (1, 1, 1)),), (), (SCurve("F1", "P", 1, -2, ()),))
     assert _resolved_den(curve, a1) == ((1, 1),)
     assert total_chi(lift((1,), a1), curve, a1) == VirtualCharacter({0: 1, 1: -3, 2: 3, 3: -1})
+
+
+def _point_denominator(p, points, curves) -> Quotient:
+    """The reference for ``_point_exponents``: 1 over p's largest residue denominators,
+    doubled and cancelled by its weights, in ``Quotient`` arithmetic."""
+    s = Quotient._raw({0: 1}, common_denominator(
+        [Quotient(1, q.weights) for q, _ in points] + [Quotient(1, (e.normal_weight,) * 2) for e, _ in curves]))
+    return times_expfactors(s * s, p.weights)
+
+
+def _reference_den(g, m) -> tuple:
+    """D of (g, m) by the reference: the largest exponent of each factor over the points."""
+    over = _checked_components(g, m)
+    return tuple(sorted(common_denominator(_point_denominator(p, *c) for p, c in over.items()).items()))
+
+
+_WEIGHTS = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[_WEIGHTS] * 3), st.lists(st.tuples(_WEIGHTS, _WEIGHTS), max_size=4), st.lists(_WEIGHTS, max_size=3))
+def test_point_exponents_equal_the_quotient_reference(weights, surface, normals):
+    # repeated |weights| within a point, across points and against the curves' normal weights
+    p = YPoint("P", weights)
+    points = [(SPoint(f"Q{i}", ws, "P", ()), ()) for i, ws in enumerate(surface)]
+    curves = [(SCurve(f"F{i}", "P", n, -2, ()), ()) for i, n in enumerate(normals)]
+    assert _point_exponents(p, points, curves) == _point_denominator(p, points, curves).den
+
+
+def test_resolved_denominator_equals_the_reference(m, g):
+    # scaled by 2 every k doubles; reordered, D is unchanged
+    reordered = g._replace(y_points=g.y_points[::-1], s_points=g.s_points[::-1])
+    doubled = tuple((2 * k, e) for k, e in _E8_A5_DEN)
+    for desc, want in ((g, _E8_A5_DEN), (_scaled(g, 2), doubled), (reordered, _E8_A5_DEN)):
+        assert _resolved_den(desc, m) == _reference_den(desc, m) == want
 
 
 def test_resolution_is_one_named_point_per_threefold_point(m, g):

@@ -24,7 +24,7 @@ PASSING_DETAILS = {
     "Euler-class rows and invariants for the reference classes": "4 Euler-class rows",
     "folding and localization agree on the reference classes": "4 classes agree",
     "totals vanish at mu=1 with unit ends": "4 totals vanish at mu=1 with coefficients +1/-1 at weights 0/3",
-    "positive-root counts match the closed forms": "12 diagrams",
+    "positive-root counts match the closed forms": "16 diagrams",
     "closure enumeration equals the brute-force scan": "16 diagrams",
     "highest root and its white part": "(2, 3, 4, 5, 6, 4, 2, 3)",
     "folded table statistics": "36 classes, 116 roots, 4 dropped",
