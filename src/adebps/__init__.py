@@ -19,10 +19,9 @@ _EXPORTS = {
     ),
     "localize": (
         "DescriptorError", "ExtDecomposition", "GeometryDescriptor", "Incidence",
-        "LocalizationResult", "SCurve", "SPoint", "YPoint", "bps_from_localization",
-        "chern_character_at", "ext_decompose", "format_descriptor", "localize_class",
-        "parse_descriptor", "point_contribution", "restriction_weights", "total_chi",
-        "validate_descriptor",
+        "LocalizationResult", "PointRecord", "SCurve", "SPoint", "YPoint",
+        "bps_from_localization", "ext_decompose", "format_descriptor", "localize_class",
+        "parse_descriptor", "total_chi", "validate_descriptor",
     ),
     "rootsys": (
         "DynkinDiagram", "RootVector", "build_diagram", "cartan_pairing",

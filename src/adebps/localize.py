@@ -30,9 +30,10 @@ curve over p, and D; no self-intersection, as ``_resolve`` checks that
 each fixed curve is a (-2)-curve.  Per class, a point is one getter
 call and one lookup in the memo ``_point_record`` by (plan, support
 values), whose misses read ``_point_sums`` by key; both return the one
-shared record of a key: ch_p, the contribution, and its split
-N_p = P_p * D + R_p.  The total is the sum of the P_p, integral exactly
-when the R_p cancel.
+shared ``PointRecord`` of a key: ch_p, the contribution, its split
+N_p = P_p * D + R_p, and the weight and residue summand of each surface
+point and the weight and degree of each fixed curve over p.  The total
+is the sum of the P_p, integral exactly when the R_p cancel.
 """
 
 from collections import Counter
@@ -179,9 +180,6 @@ def _checked_components(g: GeometryDescriptor, m: Marking) -> dict[YPoint, tuple
 class _Point(NamedTuple):
     """A threefold point y compiled: ``plan(read(lft.full))`` is its key for a lift."""
 
-    y: YPoint
-    points: tuple[SPoint, ...]  # the surface points over y, in descriptor order
-    curves: tuple[SCurve, ...]  # the fixed curves over y, in descriptor order
     read: Callable  # the lift entries y reads: its support values
     plan: Callable  # support values -> the key of y for ``_point_sums``
 
@@ -212,8 +210,7 @@ def _resolve(g: GeometryDescriptor, m: Marking) -> dict[str, _Point]:
         at = support.index
         qs = tuple((q.weights, tuple((at(j), c) for j, c in form)) for q, form in points)
         es = tuple((tuple(map(at, nodes)), e.normal_weight) for e, nodes in curves)
-        plans[p.name] = _Point(p, tuple(q for q, _ in points), tuple(e for e, _ in curves),
-                               tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
+        plans[p.name] = _Point(tuple_getter(tuple(support)), partial(_point_key, p.weights, qs, es, den))
     return plans
 
 
@@ -242,16 +239,6 @@ def _point_key(weights, points, curves, den, v: tuple[int, ...]) -> tuple:
     """The key of a threefold point for ``_point_sums``, from its support values ``v``."""
     return (weights, tuple((t, sum([v[i] * c for i, c in form])) for t, form in points),
             tuple((-n * v[i], 2 * v[i] - sum([v[j] for j in nbs]), n) for (i, *nbs), n in curves), den)
-
-
-def restriction_weights(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict:
-    """Fiber weight w_q of O(-Z) by surface point name, (w_e, d_e) by fixed curve name."""
-    out = {}
-    for pt in _resolve(g, m).values():
-        _, qs, es, _ = pt.plan(pt.read(lft.full))
-        out.update((q.name, w) for q, (_, w) in zip(pt.points, qs))
-        out.update((e.name, (w, d)) for e, (w, d, _) in zip(pt.curves, es))
-    return out
 
 
 # Every residue summand over a threefold point p carries the same
@@ -283,55 +270,50 @@ def _curve_residue(w: int, d: int, n: int) -> Quotient:
     return Quotient((a + a1) * b - a * b1, (-n, -n))
 
 
-class _Record(NamedTuple):
-    """ch_p and contribution = quo + rem / D of a point, rem in [0, deg D); shared, so read-only."""
+class PointRecord(NamedTuple):
+    """A threefold point p's share of one class; equal keys share one record, so it is read-only.
+
+    ``contribution`` = quo + rem / D with rem in [0, deg D).  ``surface`` holds
+    (w_q, residue summand with p's prefactor) per surface point over p and
+    ``curves`` (w_e, d_e) per fixed curve over p, each in descriptor order;
+    the record carries no names, so read them from the descriptor.
+    """
 
     ch: Quotient
     contribution: Quotient
     quo: LaurentPoly
     rem: LaurentPoly
+    surface: tuple[tuple[int, Quotient], ...]
+    curves: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=_POINT_SUMS_MAXSIZE)
-def _point_sums(weights, points, curves, den) -> _Record:
-    """The record (ch_p, E_p^dual * S_p^dual * S_p, its split by D) of a threefold point, from its key.
+def _point_sums(weights, points, curves, den) -> PointRecord:
+    """The record of a threefold point, from its key.
 
-    ch_p = E_p * S_p.  Each factor 1 - mu^w of E_p and of E_p^dual cancels
-    a power of 1 - mu^|w| in the denominator where there is one.
+    ch_p = E_p * S_p, and each surface point's summand is its residue
+    times E_p.  Each factor 1 - mu^w of E_p and of E_p^dual cancels a
+    power of 1 - mu^|w| in the denominator where there is one.
     """
-    terms = [_point_residue(w, tangent) for tangent, w in points]
-    terms += [_curve_residue(*c) for c in curves]
-    s = quotient_sum(terms)
+    residues = [_point_residue(w, tangent) for tangent, w in points]
+    s = quotient_sum([*residues, *(_curve_residue(*c) for c in curves)])
     c = times_expfactors(s.dual() * s, weights) if s else s
-    return _Record(times_expfactors(s, (-w for w in weights)), c, *divide_with_remainder(c, dict(den)))
+    prefactor = [-w for w in weights]  # E_p's factors are 1 - mu^-w
+    return PointRecord(times_expfactors(s, prefactor), c, *divide_with_remainder(c, dict(den)),
+                       tuple((w, times_expfactors(r, prefactor)) for (_, w), r in zip(points, residues)),
+                       tuple((w, d) for w, d, _ in curves))
 
 
 @lru_cache(maxsize=_POINT_RECORDS_MAXSIZE)
-def _point_record(plan, vals: tuple[int, ...]) -> _Record:
+def _point_record(plan, vals: tuple[int, ...]) -> PointRecord:
     """The shared record of the point compiled to ``plan`` (an identity key) at support values ``vals``."""
     return _point_sums(*plan(vals))
 
 
-def point_contribution(lft: LiftedDivisor, q: SPoint, g: GeometryDescriptor, m: Marking) -> Quotient:
-    """Residue summand of one isolated surface point, image prefactor included."""
-    pt = _resolve(g, m).get(q.image)
-    if pt is None or q not in pt.points:
-        raise DescriptorError(f"unknown point {q.name!r}")
-    tangent, w = pt.plan(pt.read(lft.full))[1][pt.points.index(q)]
-    return times_expfactors(_point_residue(w, tangent), (-t for t in pt.y.weights))
-
-
-def chern_character_at(p: YPoint, lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> Quotient:
-    """Restriction of the pushed-down Chern character to one threefold point."""
-    pt = _resolve(g, m).get(p.name)
-    if pt is None or pt.y != p:  # a known name with other weights is not in g either
-        raise DescriptorError(f"unknown fixed point {p.name!r}")
-    return _point_record(pt.plan, pt.read(lft.full)).ch
-
-
-def _point_records(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> list[tuple[YPoint, _Record]]:
-    """(p, shared record of p) for each threefold point p, in descriptor order."""
-    return [(pt.y, _point_record(pt.plan, pt.read(lft.full))) for pt in _resolve(g, m).values()]
+def _point_records(lft: LiftedDivisor, g: GeometryDescriptor, m: Marking) -> dict[str, PointRecord]:
+    """The shared record of each threefold point, by name, in descriptor order."""
+    full = lft.full
+    return {name: _point_record(pt.plan, pt.read(full)) for name, pt in _resolve(g, m).items()}
 
 
 def _certified_sum(records) -> VirtualCharacter:
@@ -404,8 +386,7 @@ class LocalizationResult(NamedTuple):
     """Every stage of the localization of one class, from the lift to n."""
 
     lift: LiftedDivisor
-    characters: dict[str, Quotient]  # ch_p per threefold point name
-    contributions: dict[str, Quotient]  # ch_p^dual * ch_p / (e(N)/td) per point name
+    points: dict[str, PointRecord]  # each threefold point's record, by name, in descriptor order
     chi: VirtualCharacter
     ext: ExtDecomposition
     euler_ext1: EulerClass
@@ -414,18 +395,15 @@ class LocalizationResult(NamedTuple):
 
 
 def localize_class(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> LocalizationResult:
-    """Localize a root class: lift, point characters, chi, Ext split, Euler classes, n."""
+    """Localize a root class: lift, point records, chi, Ext split, Euler classes, n."""
     lft = lift(cls, m)
     if lft.self_pairing != -2:
         raise ValueError(f"class {','.join(map(str, cls))} does not come from a positive root")
-    records = _point_records(lft, g, m)
-    chi = _certified_sum(r for _, r in records)
+    points = _point_records(lft, g, m)
+    chi = _certified_sum(points.values())
     ext = ext_decompose(chi, serre_weight=-g.canonical_weight)
     e1, e2 = euler_class(ext.ext1), euler_class(ext.ext2)
-    characters = {p.name: r.ch for p, r in records}
-    contributions = {p.name: r.contribution for p, r in records}
-    n = Fraction(e2.scalar, e1.scalar)
-    return LocalizationResult(lft, characters, contributions, chi, ext, e1, e2, n)
+    return LocalizationResult(lft, points, chi, ext, e1, e2, Fraction(e2.scalar, e1.scalar))
 
 
 def bps_from_localization(cls: CurveClass, m: Marking, g: GeometryDescriptor) -> Fraction:

@@ -78,6 +78,13 @@ class DynkinDiagram(_Checked, _DiagramFields):
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
 
+    def colouring(self) -> tuple[int, ...]:
+        """The tree's 2-colouring: each node's distance from n1, mod 2; computed on each call."""
+        colour = [0] * self.rank
+        for i, j in self._edges:  # canonical edges reach each node j from an earlier i
+            colour[j] = 1 - colour[i]
+        return tuple(colour)
+
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """2 on the diagonal, -1 across each edge, 0 elsewhere."""
         nodes = range(self.rank)

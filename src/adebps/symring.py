@@ -341,16 +341,6 @@ def _lift(q: Quotient, den: Mapping[int, int]) -> dict[int, int]:
     return a
 
 
-def common_denominator(terms: Iterable[Quotient]) -> dict[int, int]:
-    """The largest exponent of each factor 1 - mu^k over the terms."""
-    den: dict[int, int] = {}
-    for t in terms:
-        for k, e in t.den.items():
-            if e > den.get(k, 0):
-                den[k] = e
-    return den
-
-
 def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
     """The sum of the quotients over the largest exponent of each factor.
 
@@ -359,7 +349,11 @@ def quotient_sum(terms: Iterable[Quotient]) -> Quotient:
     add nothing to the denominator; the empty sum is 0.
     """
     terms = [t for t in terms if t.num]
-    den = common_denominator(terms)
+    den: dict[int, int] = {}
+    for t in terms:
+        for k, e in t.den.items():
+            if e > den.get(k, 0):
+                den[k] = e
     acc: dict[int, int] = {}
     for t in terms:
         for w, c in _lift(t, den).items():

@@ -15,13 +15,7 @@ from typing import NamedTuple
 
 from . import catalog
 from .folding import Marking, bps_table, lift, project
-from .localize import (
-    localize_class,
-    point_contribution,
-    restriction_weights,
-    total_chi,
-    validate_descriptor,
-)
+from .localize import localize_class, total_chi, validate_descriptor
 from .rootsys import (
     build_diagram,
     cartan_pairing,
@@ -164,13 +158,11 @@ def _bipartite_markings():
     """Each colour class of every ADE diagram up to rank 8 as the black set, white in node order."""
     for kind, rank in ADE_UP_TO_8:
         d = build_diagram(kind, rank)
-        odd = [False] * rank  # odd distance from n1
-        for i, j in d.edges:  # canonical edges reach each node j from an earlier i
-            odd[j] = not odd[i]
-        for black_odd in (False, True):
-            white = tuple(i for i in range(rank) if odd[i] != black_odd)
+        colour = d.colouring()
+        for black in (0, 1):
+            white = tuple(i for i in range(rank) if colour[i] != black)
             if white:  # A1 with n1 black has no class
-                yield Marking(d, frozenset(i for i in range(rank) if odd[i] == black_odd), white)
+                yield Marking(d, frozenset(i for i in range(rank) if colour[i] == black), white)
 
 
 def _fold_counts(_m, _g) -> str:
@@ -208,18 +200,16 @@ def _descriptor_lints(m, g) -> str:
 
 def _golden_intermediates(m, g) -> str:
     top = localize_class((3, 5, 4, 3), m, g)
-    weights = restriction_weights(top.lift, g, m)
     count = 0
-    for q in g.s_points:
-        _expect(weights[q.name] == GOLDEN_POINT_WEIGHTS[q.name], f"restriction weight at {q.name}")
-        got = point_contribution(top.lift, q, g, m)
-        _expect(got == GOLDEN_SUMMANDS[q.name], f"summand at {q.name}")
+    for name, r in top.points.items():
+        for q, (w, summand) in zip([q for q in g.s_points if q.image == name], r.surface, strict=True):
+            _expect(w == GOLDEN_POINT_WEIGHTS[q.name], f"restriction weight at {q.name}")
+            _expect(summand == GOLDEN_SUMMANDS[q.name], f"summand at {q.name}")
+            count += 2
+        _expect(r.ch == GOLDEN_CH[name], f"character at {name}")
+        _expect(r.contribution == GOLDEN_CONTRIBUTIONS[name], f"contribution of {name}")
         count += 2
-    for p in g.y_points:
-        _expect(top.characters[p.name] == GOLDEN_CH[p.name], f"character at {p.name}")
-        _expect(top.contributions[p.name] == GOLDEN_CONTRIBUTIONS[p.name], f"contribution of {p.name}")
-        count += 2
-    dual = top.characters["P1"].dual()
+    dual = top.points["P1"].ch.dual()
     _expect(dual == LaurentPoly({0: 1, 2: -1, 6: -1, 7: 1, 10: -1, 11: 1}), f"dual of the character at P1: {dual}")
     return f"{count + 1} golden values reproduced"
 

@@ -14,9 +14,8 @@ from adebps.catalog import e8_a5_descriptor, e8_a5_marking
 from adebps.folding import bps_table, lift, project
 from adebps.localize import (
     bps_from_localization,
-    chern_character_at,
     ext_decompose,
-    point_contribution,
+    localize_class,
     total_chi,
     validate_descriptor,
 )
@@ -91,15 +90,17 @@ def test_criterion_3_lift_correctness():
 
 
 def test_criterion_4_localization_goldens():
-    top = lift((3, 5, 4, 3), M)
-    for q in G.s_points:
-        assert point_contribution(top, q, G, M) == GOLDEN_SUMMANDS[q.name]
+    r = localize_class((3, 5, 4, 3), M, G)
+    top, points = r.lift, r.points
     for p in G.y_points:
-        ch = chern_character_at(p, top, G, M)
+        over = [q for q in G.s_points if q.image == p.name]
+        assert [summand for _, summand in points[p.name].surface] == [GOLDEN_SUMMANDS[q.name] for q in over]
+        ch = points[p.name].ch
         assert ch == GOLDEN_CH[p.name]
         pref = prod((expfactor(-w) for w in p.weights), start=LaurentPoly({0: 1}))
         assert ch.dual() * ch == GOLDEN_CONTRIBUTIONS[p.name] * pref
-    ch1 = chern_character_at(G.y_point("P1"), top, G, M)
+    assert sum(len(points[p.name].surface) for p in G.y_points) == len(G.s_points)
+    ch1 = points["P1"].ch
     assert ch1.dual() == LaurentPoly({0: 1, 2: -1, 6: -1, 7: 1, 10: -1, 11: 1})
     assert total_chi(top, G, M) == VirtualCharacter({0: 1, 3: -1})
     print("PASS criterion 4: all longest-root golden intermediates match")

@@ -120,5 +120,8 @@ def test_traced_names_resolve():
         assert adebps.localize.total_chi is not original
     finally:
         tracer.uninstall()
-    assert sorted(tracer.missing) == ["localize.curve_contribution", "symring.RatFn.new", "symring.to_polynomial"]
+    assert sorted(tracer.missing) == [
+        "localize.chern_character_at", "localize.curve_contribution", "localize.point_contribution",
+        "symring.RatFn.new", "symring.to_polynomial",
+    ]
     assert adebps.localize.total_chi is original

@@ -461,9 +461,7 @@ def test_bps_table_equals_naive_fold(mk):
 def _alternating(kind, rank, parity):
     """The marking whose black nodes are one colour class of the tree's 2-colouring, white ascending."""
     d = build_diagram(kind, rank)
-    colour = [0] * rank
-    for i, j in d.edges:  # canonical edges reach each node j from an earlier i
-        colour[j] = 1 - colour[i]
+    colour = d.colouring()
     return Marking(d, frozenset(i for i in range(rank) if colour[i] == parity),
                    tuple(i for i in range(rank) if colour[i] != parity))
 

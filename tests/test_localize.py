@@ -15,6 +15,7 @@ from adebps.localize import (
     Incidence,
     SCurve,
     SPoint,
+    PointRecord,
     YPoint,
     _certified_sum,
     _checked_components,
@@ -23,15 +24,13 @@ from adebps.localize import (
     _point_record,
     _point_records,
     _point_sums,
+    _curve_residue,
     _resolve,
     bps_from_localization,
-    chern_character_at,
     ext_decompose,
     format_descriptor,
     localize_class,
     parse_descriptor,
-    point_contribution,
-    restriction_weights,
     total_chi,
     tuple_getter,
     validate_descriptor,
@@ -41,7 +40,6 @@ from adebps.symring import (
     LaurentPoly,
     Quotient,
     VirtualCharacter,
-    common_denominator,
     divide_with_remainder,
     euler_class,
     expfactor,
@@ -99,6 +97,36 @@ def s_point(g, name):
     return next(q for q in g.s_points if q.name == name)
 
 
+def _over(components, name):
+    """The surface points or fixed curves whose image is the threefold point ``name``, in descriptor order."""
+    return [x for x in components if x.image == name]
+
+
+def _weights(lft, g, m) -> dict:
+    """w_q by surface point name and (w_e, d_e) by fixed curve name, read from the point records."""
+    out = {}
+    for name, r in _point_records(lft, g, m).items():
+        out.update((q.name, w) for q, (w, _) in zip(_over(g.s_points, name), r.surface, strict=True))
+        out.update((e.name, wd) for e, wd in zip(_over(g.s_curves, name), r.curves, strict=True))
+    return out
+
+
+def _summands(lft, g, m) -> dict:
+    """The residue summand of each surface point, image prefactor included, by name, from the point records."""
+    return {q.name: summand for name, r in _point_records(lft, g, m).items()
+            for q, (_, summand) in zip(_over(g.s_points, name), r.surface, strict=True)}
+
+
+def common_denominator(terms) -> dict[int, int]:
+    """The reference common denominator: the largest exponent of each factor 1 - mu^k over the terms."""
+    den: dict[int, int] = {}
+    for t in terms:
+        for k, e in t.den.items():
+            if e > den.get(k, 0):
+                den[k] = e
+    return den
+
+
 class TestValidation:
     def test_builtin_clean(self, g, m):
         assert validate_descriptor(g, m) == []
@@ -145,21 +173,21 @@ class TestValidation:
 
 class TestLineBundleData:
     def test_longest_root_point_weights(self, g, m, top):
-        assert restriction_weights(top, g, m) == {**GOLDEN_POINT_WEIGHTS, "E3": (-6, 0)}
+        assert _weights(top, g, m) == {**GOLDEN_POINT_WEIGHTS, "E3": (-6, 0)}
 
     def test_zero_divisor(self, g, m):
         zero = LiftedDivisor((0,) * 8, (), (), 0)
-        assert restriction_weights(zero, g, m) == {**{q.name: 0 for q in g.s_points}, "E3": (0, 0)}
+        assert _weights(zero, g, m) == {**{q.name: 0 for q in g.s_points}, "E3": (0, 0)}
 
     def test_longest_root_on_curve(self, g, m, top):
-        assert restriction_weights(top, g, m)["E3"] == (-6, 0)
+        assert _weights(top, g, m)["E3"] == (-6, 0)
         # the curve's weight is read from its normal weight, which every
         # crossing weight must equal: crossings at another weight are rejected
         crossed, bare = _a3_descriptors()
         assert validate_descriptor(bare, A3) == []
-        assert restriction_weights(lift((1, 1), A3), bare, A3)["E1"] == (-3, 0)
+        assert _weights(lift((1, 1), A3), bare, A3)["E1"] == (-3, 0)
         for call in (lambda: validate_descriptor(crossed, A3),
-                     lambda: restriction_weights(lift((1, 1), A3), crossed, A3)):
+                     lambda: _point_records(lift((1, 1), A3), crossed, A3)):
             with pytest.raises(DescriptorError, match=r"inconsistent crossing weights on 'E1': \[2, 3\]"):
                 call()
         # on e8-a5, a crossing weight of 2, or no crossing at all, leaves the
@@ -172,10 +200,10 @@ class TestLineBundleData:
         ):
             broken = GeometryDescriptor(g.y_points, g.s_points, (curve,))
             with pytest.raises(DescriptorError, match=fault):
-                restriction_weights(top, broken, m)
+                _point_records(top, broken, m)
 
     def test_degree_one_case(self, g, m):
-        assert restriction_weights(lift((1, 2, 2, 1), m), g, m)["E3"] == (-3, 1)
+        assert _weights(lift((1, 2, 2, 1), m), g, m)["E3"] == (-3, 1)
 
     def test_inconsistent_crossings_detected(self, g, m, top):
         # F4 crosses E3 at weight 2 and ends at Q4 with weight -2: every
@@ -184,7 +212,7 @@ class TestLineBundleData:
         q4 = SPoint("Q4", (3, -2), "P4", (Incidence("F4", 3),))
         broken = GeometryDescriptor(g.y_points, g.s_points[:-1] + (q4,), (e3,))
         with pytest.raises(DescriptorError, match=r"inconsistent crossing weights on 'E3': \[1, 2\]"):
-            restriction_weights(top, broken, m)
+            _point_records(top, broken, m)
         # E3 has multiplicity 0 in the lift of (1,0,0,0): the crossings still disagree
         assert lift((1, 0, 0, 0), m).full[4] == 0
         with pytest.raises(DescriptorError, match="inconsistent"):
@@ -193,11 +221,6 @@ class TestLineBundleData:
         bad = SCurve("E3", "P", 1, -2, (Incidence("F2", 1), Incidence("F3", 2)))
         with pytest.raises(DescriptorError, match=r"divisor F3: end weights \[-1, 2\] do not cancel"):
             total_chi(top, GeometryDescriptor(g.y_points, g.s_points, (bad,)), m)
-
-    def test_unknown_point_rejected(self, g, m, top):
-        stray = SPoint("Qx", (1, 2), "P1", ())
-        with pytest.raises(DescriptorError, match="unknown point"):
-            point_contribution(top, stray, g, m)
 
     def test_stray_image_raises(self, g, m):
         # a component whose image names no threefold point must not be dropped
@@ -217,30 +240,29 @@ class TestLineBundleData:
             with pytest.raises(DescriptorError, match="unknown fixed point"):
                 localize_class((1, 2, 2, 1), m, broken)
             with pytest.raises(DescriptorError, match="unknown fixed point"):
-                chern_character_at(broken.y_point("P"), lft, broken, m)
+                _point_records(lft, broken, m)
 
 
 class TestPointContributions:
     def test_golden_summands(self, g, m, top):
-        for q in g.s_points:
-            assert point_contribution(top, q, g, m) == GOLDEN_SUMMANDS[q.name]
+        assert _summands(top, g, m) == GOLDEN_SUMMANDS
 
     def test_degenerate_weight_rejected(self, g, m, top):
         stray = SPoint("Qx", (0, 2), "P1", ())
         broken = GeometryDescriptor(g.y_points, g.s_points + (stray,), g.s_curves)
         with pytest.raises(DescriptorError, match="tangent weight 0"):
-            point_contribution(top, stray, broken, m)
+            _point_records(top, broken, m)
 
 
 class TestCurveContribution:
     # P sees only the fixed curve, so its character is the curve summand
     def test_longest_root(self, g, m, top):
-        got = chern_character_at(g.y_point("P"), top, g, m)
+        got = _point_records(top, g, m)["P"].ch
         assert got == LaurentPoly({-8: 1, -6: -1, -2: -1, 0: 1})
 
     def test_zero_divisor(self, g, m):
         zero = LiftedDivisor((0,) * 8, (), (), 0)
-        assert chern_character_at(g.y_point("P"), zero, g, m) == 0
+        assert _point_records(zero, g, m)["P"].ch == 0
 
     @pytest.mark.parametrize("s", [-3, -1, 0, 2])
     def test_self_intersection_is_fixed_by_the_marking(self, g, m, top, s):
@@ -249,7 +271,7 @@ class TestCurveContribution:
         bent = g._replace(s_curves=(g.s_curves[0]._replace(self_intersection=s),))
         for call in (lambda: validate_descriptor(bent, m), lambda: total_chi(top, bent, m),
                      lambda: localize_class((1, 0, 0, 0), m, bent),
-                     lambda: chern_character_at(bent.y_point("P"), top, bent, m)):
+                     lambda: _point_records(top, bent, m)):
             with pytest.raises(DescriptorError, match=f"^curve 'E3' has self-intersection {s}, not -2$"):
                 call()
 
@@ -257,27 +279,22 @@ class TestCurveContribution:
         bad = SCurve("E3", "P", 0, -2, ())
         broken = GeometryDescriptor(g.y_points, g.s_points, (bad,))
         with pytest.raises(DescriptorError, match="normal weight 0"):
-            chern_character_at(broken.y_point("P"), top, broken, m)
+            _point_records(top, broken, m)
 
 
 class TestCharacters:
-    def test_unknown_threefold_point_rejected(self, g, m, top):
-        # neither a new name nor a known name with other tangent weights is in g
-        for p in (YPoint("P9", (1, 1, 1)), YPoint("P1", (1, 1, 1))):
-            with pytest.raises(DescriptorError, match="unknown fixed point"):
-                chern_character_at(p, top, g, m)
-
     def test_golden_characters(self, g, m, top):
         for p in g.y_points:
-            assert chern_character_at(p, top, g, m) == GOLDEN_CH[p.name]
-        assert localize_class((3, 5, 4, 3), m, g).characters == GOLDEN_CH
+            assert _point_records(top, g, m)[p.name].ch == GOLDEN_CH[p.name]
+        assert {name: r.ch for name, r in localize_class((3, 5, 4, 3), m, g).points.items()} == GOLDEN_CH
 
     def test_golden_point_totals(self, g, m, top):
         for p in g.y_points:
-            ch = chern_character_at(p, top, g, m)
+            ch = _point_records(top, g, m)[p.name].ch
             pref = prod((expfactor(-w) for w in p.weights), start=LaurentPoly({0: 1}))
             assert ch.dual() * ch == GOLDEN_CONTRIBUTIONS[p.name] * pref
-        assert localize_class((3, 5, 4, 3), m, g).contributions == GOLDEN_CONTRIBUTIONS
+        points = localize_class((3, 5, 4, 3), m, g).points
+        assert {name: r.contribution for name, r in points.items()} == GOLDEN_CONTRIBUTIONS
 
     def test_reference_totals(self, g, m):
         for cls, total, _, _, _ in REFERENCE_CLASSES:
@@ -287,25 +304,24 @@ class TestCharacters:
         # every Euler factor 1 - mu^w cancels a power of 1 - mu^|w| that the
         # denominator holds, so chi needs a common denominator of degree 21
         r = localize_class((3, 5, 4, 3), m, g)
-        assert {p: u.den for p, u in r.contributions.items()} == {
+        assert {p: u.contribution.den for p, u in r.points.items()} == {
             "P1": {3: 1, 4: 2, 5: 1},
             "P2": {2: 2, 3: 1},
             "P3": {2: 2, 3: 1},
             "P4": {1: 1},
             "P": {1: 1},
         }
-        assert quotient_sum(r.contributions.values()).den == {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}
-        assert r.characters["P4"].den == {} and r.characters["P"].den == {}
+        assert quotient_sum(u.contribution for u in r.points.values()).den == {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}
+        assert r.points["P4"].ch.den == {} and r.points["P"].ch.den == {}
 
     def test_symmetric_points_for_longest_root(self, g, m, top):
         # all restriction weights of the longest-root lift equal -6, so the
         # two middle points see identical data; for general classes the
         # characters differ (the class may not even reach both points)
-        p2 = g.y_point("P2")
-        p3 = g.y_point("P3")
-        assert chern_character_at(p2, top, g, m) == chern_character_at(p3, top, g, m)
+        records = _point_records(top, g, m)
+        assert records["P2"].ch == records["P3"].ch
         small = lift((0, 1, 0, 0), m)
-        assert chern_character_at(p3, small, g, m) == 0
+        assert _point_records(small, g, m)["P3"].ch == 0
 
     def test_totals_vanish_at_one_with_unit_ends(self, g, m):
         for rec in bps_table(m):
@@ -550,7 +566,7 @@ def test_exact_evaluation_oracle(m, g):
             want = Fraction(0)
             for p in g.y_points:
                 ch = _oracle_character(lft, p, g, m, x)
-                assert chern_character_at(p, lft, g, m).evaluate(x) == ch, (cls, p.name, x)
+                assert _point_records(lft, g, m)[p.name].ch.evaluate(x) == ch, (cls, p.name, x)
                 pref = Fraction(1)
                 for w in p.weights:
                     pref *= 1 - x**-w
@@ -618,8 +634,6 @@ def _descriptor_faults(g, m, classes):
         for call in (
             lambda: total_chi(lft, g, m),
             lambda: localize_class(cls, m, g),
-            lambda: chern_character_at(g.y_points[k % len(g.y_points)], lft, g, m),
-            lambda: restriction_weights(lft, g, m),
         ):
             try:
                 call()
@@ -707,10 +721,11 @@ def _todd_by_euler(p):
 
 
 def _chi_from_characters(lft, g, m):
-    """The sum over p of ch_p^dual * ch_p * td/e(N), from the public characters."""
+    """The sum over p of ch_p^dual * ch_p * td/e(N), from the records' characters."""
     total = Quotient()
+    records = _point_records(lft, g, m)
     for p in g.y_points:
-        ch = chern_character_at(p, lft, g, m)
+        ch = records[p.name].ch
         total = total + ch.dual() * ch * _todd_by_euler(p)
     quo, rem = divide_with_remainder(total, total.den)
     assert not rem, "not a polynomial"
@@ -728,10 +743,24 @@ def test_total_chi_equals_character_formula(cls):
 def test_record_contributions_equal_character_formula(m, g):
     for rec in bps_table(m):
         r = localize_class(rec.cls, m, g)
+        records = _point_records(r.lift, g, m)
+        assert list(r.points) == list(records) == [p.name for p in g.y_points]
         for p in g.y_points:
-            ch = r.characters[p.name]
-            assert ch == chern_character_at(p, r.lift, g, m)
-            assert r.contributions[p.name] == ch.dual() * ch * _todd_by_euler(p), (rec.cls, p.name)
+            ch = r.points[p.name].ch
+            assert r.points[p.name] is records[p.name]
+            assert r.points[p.name].contribution == ch.dual() * ch * _todd_by_euler(p), (rec.cls, p.name)
+
+
+def test_record_summands_add_up_to_the_character(m, g):
+    # ch_p = E_p * (the surface residues + the curve push-downs): each surface
+    # summand carries E_p already, and each curve's push-down is rebuilt from
+    # the record's (w_e, d_e) and the descriptor's normal weight
+    for rec in bps_table(m):
+        for name, r in localize_class(rec.cls, m, g).points.items():
+            pref = prod((expfactor(-w) for w in g.y_point(name).weights), start=LaurentPoly({0: 1}))
+            curves = [pref * _curve_residue(w, d, e.normal_weight)
+                      for e, (w, d) in zip(_over(g.s_curves, name), r.curves, strict=True)]
+            assert quotient_sum([summand for _, summand in r.surface] + curves) == r.ch, (rec.cls, name)
 
 
 # -- metamorphic properties ------------------------------------------------------
@@ -795,7 +824,7 @@ def test_ext_split_takes_the_serre_weight_of_its_descriptor(m, g, cls, n):
 def test_reordering_and_renaming_points_changes_nothing(ys, qs, rename, cls, root):
     m, g = e8_a5_marking(), e8_a5_descriptor()
     lft = lift(cls, m)
-    chi, weights, record = total_chi(lft, g, m), restriction_weights(lft, g, m), localize_class(root, m, g)
+    chi, weights, record = total_chi(lft, g, m), _weights(lft, g, m), localize_class(root, m, g)
     names = {x.name: f"{x.name[0]}x{i}" if rename else x.name for i, x in enumerate(g.y_points + g.s_points)}
     names["E3"] = "E3"  # a fixed curve is named by its divisor label
     moved = GeometryDescriptor(
@@ -806,10 +835,10 @@ def test_reordering_and_renaming_points_changes_nothing(ys, qs, rename, cls, roo
     )
     assert validate_descriptor(moved, m) == []
     assert total_chi(lft, moved, m) == chi
-    assert restriction_weights(lft, moved, m) == {names[name]: w for name, w in weights.items()}
+    assert _weights(lft, moved, m) == {names[name]: w for name, w in weights.items()}
     again = localize_class(root, m, moved)
     assert (again.chi, again.ext, again.n) == (record.chi, record.ext, record.n)
-    assert again.characters == {names[name]: ch for name, ch in record.characters.items()}
+    assert {name: r.ch for name, r in again.points.items()} == {names[name]: r.ch for name, r in record.points.items()}
 
 
 def _degenerate(g, name, weights):
@@ -829,7 +858,7 @@ def test_degenerate_threefold_point_raises(m, g, top, name):
     with pytest.raises(DescriptorError, match="degenerate fixed point"):
         localize_class((3, 5, 4, 3), m, broken)
     with pytest.raises(DescriptorError, match="degenerate fixed point"):
-        chern_character_at(broken.y_point(name), top, broken, m)
+        _point_records(top, broken, m)
     # the check depends on the descriptor, not on the class
     with pytest.raises(DescriptorError, match="degenerate fixed point"):
         total_chi(lift((0, 1, 0, 0), m), broken, m)
@@ -837,7 +866,7 @@ def test_degenerate_threefold_point_raises(m, g, top, name):
 
 def test_degenerate_point_with_nothing_over_it(m, g, top):
     lonely = GeometryDescriptor(g.y_points + (YPoint("P9", (0, 1, 2)),), g.s_points, g.s_curves)
-    assert chern_character_at(lonely.y_point("P9"), top, lonely, m) == 0
+    assert _point_records(top, lonely, m)["P9"].ch == 0
     assert total_chi(top, lonely, m) == total_chi(top, g, m)
 
 
@@ -880,47 +909,26 @@ def test_cached_sums_are_read_only(m, g):
     # (3,5,4,3) and (2,5,4,3) read the same lift entries at P3, P4 and P,
     # so the second class reads the records the first one stored.
     a, b = lift((3, 5, 4, 3), m), lift((2, 5, 4, 3), m)
-    pairs = zip(_point_records(a, g, m), _point_records(b, g, m))
-    shared = [p.name for (p, x), (_, y) in pairs if x is y]
+    pairs = zip(_point_records(a, g, m).items(), _point_records(b, g, m).values())
+    shared = [name for (name, x), y in pairs if x is y]
     assert shared == ["P3", "P4", "P"]
     _point_sums.cache_clear()
     _point_record.cache_clear()
     first = localize_class((3, 5, 4, 3), m, g)
     text = str(first)
-    cached = {p.name: str(r.contribution) for p, r in _point_records(a, g, m)}
-    cached_ch = {p.name: str(r.ch) for p, r in _point_records(a, g, m)}
+    cached = {name: str(r.contribution) for name, r in _point_records(a, g, m).items()}
+    cached_ch = {name: str(r.ch) for name, r in _point_records(a, g, m).items()}
     localize_class((2, 5, 4, 3), m, g)
     again = localize_class((3, 5, 4, 3), m, g)
     assert again == first and str(again) == str(first) == text
-    assert {name: str(c) for name, c in first.contributions.items()} == cached
-    assert {name: str(ch) for name, ch in again.characters.items()} == cached_ch
+    assert {name: str(r.contribution) for name, r in first.points.items()} == cached
+    assert {name: str(r.ch) for name, r in again.points.items()} == cached_ch
     _clear_memos()
     fresh = localize_class((3, 5, 4, 3), m, g)
     assert fresh == first and str(fresh) == text
-    assert {name: str(c) for name, c in fresh.contributions.items()} == cached
-    assert {name: str(ch) for name, ch in fresh.characters.items()} == cached_ch
-    assert {p.name: str(chern_character_at(p, a, g, m)) for p in g.y_points} == cached_ch
-
-
-def test_character_at_one_point_reads_one_point(m, g):
-    # chern_character_at reads only the record of the point asked for, cold
-    # or warm, and agrees with the record's character there
-    for cls in ((3, 5, 4, 3), (0, 1, 0, 0), (1, 2, 2, 1)):
-        lft = lift(cls, m)
-        record = localize_class(cls, m, g)
-        for p in g.y_points:
-            _point_sums.cache_clear()
-            _point_record.cache_clear()
-            cold = chern_character_at(p, lft, g, m)
-            assert _point_record.cache_info().misses == _point_sums.cache_info().misses == 1
-            assert cold == record.characters[p.name] == chern_character_at(p, lft, g, m)
-            localize_class(cls, m, g)
-            warm = chern_character_at(p, lft, g, m)
-            assert warm is dict(_point_records(lft, g, m))[p].ch
-            assert warm == record.characters[p.name]
-        for p in (YPoint("P9", (1, 1, 1)), YPoint("P1", (1, 1, 1))):
-            with pytest.raises(DescriptorError, match="unknown fixed point"):
-                chern_character_at(p, lft, g, m)
+    assert {name: str(r.contribution) for name, r in fresh.points.items()} == cached
+    assert {name: str(r.ch) for name, r in fresh.points.items()} == cached_ch
+    assert {name: str(r.ch) for name, r in _point_records(a, g, m).items()} == cached_ch
 
 
 def test_point_sums_read_only_on_record_misses(m, g):
@@ -965,7 +973,7 @@ def _resolved_den(g, m) -> tuple:
 def _contains_class_den(g, m, lft) -> bool:
     """Whether the resolved D holds every factor of the class's own common denominator."""
     den = dict(_resolved_den(g, m))
-    own = common_denominator(r.contribution for _, r in _point_records(lft, g, m) if r.contribution)
+    own = common_denominator(r.contribution for r in _point_records(lft, g, m).values() if r.contribution)
     return all(e <= den.get(k, 0) for k, e in own.items())
 
 
@@ -1023,15 +1031,20 @@ def test_resolved_denominator_equals_the_reference(m, g):
         assert _resolved_den(desc, m) == _reference_den(desc, m) == want
 
 
-def test_resolution_is_one_named_point_per_threefold_point(m, g):
-    # keyed by name in descriptor order, each with what lies over it in descriptor order
+def test_resolution_is_one_named_point_per_threefold_point(m, g, top):
+    # keyed by name in descriptor order; each record holds what lies over
+    # its point in descriptor order (P1's two surface points have other weights)
     resolved = _resolve(g, m)
     assert list(resolved) == [y.name for y in g.y_points]
-    for name, pt in resolved.items():
-        assert type(pt) is _Point and pt.y is g.y_point(name)
-        assert pt.points == tuple(q for q in g.s_points if q.image == name)
-        assert pt.curves == tuple(e for e in g.s_curves if e.image == name)
-    assert [len(pt.points) for pt in resolved.values()] == [2, 2, 2, 1, 0]
+    assert all(type(pt) is _Point for pt in resolved.values())
+    records = _point_records(top, g, m)
+    assert list(records) == list(resolved)
+    for name, r in records.items():
+        assert type(r) is PointRecord
+        assert [w for w, _ in r.surface] == [GOLDEN_POINT_WEIGHTS[q.name] for q in _over(g.s_points, name)]
+        assert len(r.curves) == len(_over(g.s_curves, name))
+    assert [len(r.surface) for r in records.values()] == [2, 2, 2, 1, 0]
+    assert [len(r.curves) for r in records.values()] == [0, 0, 0, 0, 1]
 
 
 def test_point_supports(m, g):
@@ -1048,13 +1061,13 @@ def test_point_supports(m, g):
         for _ in ("cold", "warm"):
             if not seen:
                 _clear_memos()
-            seen.append((restriction_weights(lft, lonely, m),
-                         {p.name: chern_character_at(p, lft, lonely, m) for p in lonely.y_points},
+            seen.append((_weights(lft, lonely, m),
+                         {name: r.ch for name, r in _point_records(lft, lonely, m).items()},
                          total_chi(lft, lonely, m)))
         weights, characters, chi = seen[0]
         assert seen[1] == seen[0]
-        assert weights == restriction_weights(lft, g, m)
-        assert characters == {**{p.name: chern_character_at(p, lft, g, m) for p in g.y_points}, "P9": 0}
+        assert weights == _weights(lft, g, m)
+        assert characters == {**{name: r.ch for name, r in _point_records(lft, g, m).items()}, "P9": 0}
         assert chi == total_chi(lft, g, m)
 
 
@@ -1078,7 +1091,7 @@ def test_remainders_that_do_not_cancel_raise(m, g):
             for p in g.y_points:
                 if clear:
                     _clear_memos()
-                rest = [r for q, r in _point_records(lft, g, m) if q != p]
+                rest = [r for name, r in _point_records(lft, g, m).items() if name != p.name]
                 exact = quotient_sum(r.contribution for r in rest)
                 if p.name not in faulty:
                     assert divide_with_remainder(exact, exact.den) == (_certified_sum(rest), 0)
@@ -1086,7 +1099,7 @@ def test_remainders_that_do_not_cancel_raise(m, g):
                 assert divide_with_remainder(exact, exact.den)[1]
                 with pytest.raises(ValueError, match="the remainders over the common denominator do not cancel"):
                     _certified_sum(rest)
-            assert _certified_sum(r for _, r in _point_records(lft, g, m)) == total_chi(lft, g, m)
+            assert _certified_sum(_point_records(lft, g, m).values()) == total_chi(lft, g, m)
 
 
 def test_equal_descriptors_hash_alike(m, g):
@@ -1109,8 +1122,7 @@ def test_descriptor_resolved_once(m, g, monkeypatch):
         lft = lift(rec.cls, m)
         total_chi(lft, g, m)
         localize_class(rec.cls, m, g)
-        for p in g.y_points:
-            chern_character_at(p, lft, g, m)
+        _point_records(lft, g, m)
     assert len(calls) == 1 and _resolve.cache_info().misses == 1
 
 

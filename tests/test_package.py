@@ -28,7 +28,7 @@ def test_import_loads_no_submodule():
 
 
 def test_every_export_is_its_modules_object():
-    assert len(set(adebps.__all__)) == len(adebps.__all__) == 44
+    assert len(set(adebps.__all__)) == len(adebps.__all__) == 42
     for name in adebps.__all__:
         module = importlib.import_module(f"adebps.{adebps._MODULE_OF[name]}")
         assert getattr(adebps, name) is getattr(module, name), name

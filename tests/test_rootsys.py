@@ -92,6 +92,19 @@ def test_constructor_derives_the_canonical_edges(kind, rank):
     assert build_diagram(kind.lower(), rank) == d
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 5), ("D", 4), ("D", 9), ("E", 6), ("E", 7), ("E", 8)])
+def test_colouring_is_the_proper_two_colouring_from_n1(kind, rank):
+    # n1 has colour 0 and every edge joins two colours, which fixes a tree's 2-colouring;
+    # the diagram stores no colouring, so each call builds a fresh tuple
+    d = build_diagram(kind, rank)
+    colour = d.colouring()
+    assert type(colour) is tuple and len(colour) == rank and colour[0] == 0
+    assert all(colour[i] != colour[j] for i, j in d.edges)
+    assert d.colouring() == colour and d.colouring() is not colour
+    if (kind, rank) == ("E", 8):  # the e8-a5 black set is n1's colour class
+        assert {i for i in range(rank) if colour[i] == 0} == {0, 2, 4, 6}
+
+
 class TestCartanPairing:
     def test_simple_root_norm(self):
         d = build_diagram("E", 8)

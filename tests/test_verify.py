@@ -57,6 +57,22 @@ def _field(name, change):
     return _then(lambda r: r._replace(**{name: change(getattr(r, name))}))
 
 
+def _q1(change):
+    """A fault: ``localize_class`` with ``change`` applied to (w_q, summand) of Q1, P1's first surface point."""
+
+    def bent(points):
+        p1 = points["P1"]
+        q1, *rest = p1.surface
+        return {**points, "P1": p1._replace(surface=(change(*q1), *rest))}
+
+    return _field("points", bent)
+
+
+def _at_p(change):
+    """A fault: ``localize_class`` with ``change`` applied to the record of P."""
+    return _field("points", lambda points: {**points, "P": change(points["P"])})
+
+
 def _top_lifted_as_another_class(f):
     """A fault: ``lift`` that lifts (3, 5, 4, 3) as (2, 4, 4, 2), a valid lift of another class."""
     return lambda cls, m: f((2, 4, 4, 2) if cls == (3, 5, 4, 3) else cls, m)
@@ -65,14 +81,14 @@ def _top_lifted_as_another_class(f):
 #: fault id -> (check, module, name, fault: original -> replacement, pattern of the FAIL detail)
 FAULTS = {
     "lints": ("_descriptor_lints", verify, "validate_descriptor", _then(lambda w: [*w, "Q4: bent"]), r"^Q4: bent$"),
-    "golden-weight": ("_golden_intermediates", verify, "restriction_weights",
-                      _then(lambda w: {**w, "Q1": w["Q1"] + 1}), r"^restriction weight at Q1$"),
-    "golden-summand": ("_golden_intermediates", verify, "point_contribution", _then(lambda q: q.dual()),
-                       r"^summand at Q1$"),
+    "golden-weight": ("_golden_intermediates", verify, "localize_class", _q1(lambda w, summand: (w + 1, summand)),
+                      r"^restriction weight at Q1$"),
+    "golden-summand": ("_golden_intermediates", verify, "localize_class",
+                       _q1(lambda w, summand: (w, summand.dual())), r"^summand at Q1$"),
     "golden-character": ("_golden_intermediates", verify, "localize_class",
-                         _field("characters", lambda ch: {**ch, "P": ch["P"].dual()}), r"^character at P$"),
+                         _at_p(lambda r: r._replace(ch=r.ch.dual())), r"^character at P$"),
     "golden-contribution": ("_golden_intermediates", verify, "localize_class",
-                            _field("contributions", lambda c: {**c, "P": -c["P"]}), r"^contribution of P$"),
+                            _at_p(lambda r: r._replace(contribution=-r.contribution)), r"^contribution of P$"),
     # the records are memoized before the fault, so only the check's own call of dual sees it
     "golden-dual": ("_golden_intermediates", Quotient, "dual", lambda f: lambda q: q,
                     r"^dual of the character at P1: "),
