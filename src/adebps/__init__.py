@@ -13,15 +13,17 @@ from importlib import import_module
 
 _EXPORTS = {
     "catalog": ("e8_a5_descriptor", "e8_a5_marking", "load_case"),
+    "descriptor": (
+        "DescriptorError", "GeometryDescriptor", "Incidence", "SCurve", "SPoint", "YPoint",
+        "format_descriptor", "parse_descriptor", "validate_descriptor",
+    ),
     "folding": (
         "BPSRecord", "CurveClass", "LiftedDivisor", "Marking", "bps_table",
         "divisor_labels", "lift", "parse_marking", "project",
     ),
     "localize": (
-        "DescriptorError", "ExtDecomposition", "GeometryDescriptor", "Incidence",
-        "LocalizationResult", "PointRecord", "SCurve", "SPoint", "YPoint",
-        "bps_from_localization", "ext_decompose", "format_descriptor", "localize_class",
-        "parse_descriptor", "total_chi", "validate_descriptor",
+        "ExtDecomposition", "LocalizationResult", "PointRecord", "bps_from_localization",
+        "ext_decompose", "localize_class", "total_chi",
     ),
     "rootsys": (
         "DynkinDiagram", "RootVector", "build_diagram", "cartan_pairing",

@@ -23,7 +23,7 @@ from .folding import Marking
 from .rootsys import build_diagram
 
 if TYPE_CHECKING:
-    from .localize import GeometryDescriptor
+    from .descriptor import GeometryDescriptor
 
 
 def e8_a5_marking() -> Marking:
@@ -35,8 +35,8 @@ def e8_a5_marking() -> Marking:
 
 
 def e8_a5_descriptor() -> GeometryDescriptor:
-    # imported here, so that a marking alone never loads the localization engine
-    from .localize import GeometryDescriptor, Incidence, SCurve, SPoint, YPoint
+    # imported here, so that a marking alone (`table --case`) loads no descriptor
+    from .descriptor import GeometryDescriptor, Incidence, SCurve, SPoint, YPoint
 
     return GeometryDescriptor(
         y_points=(

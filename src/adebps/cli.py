@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 All output is deterministic; exact rationals print as p/q.
 Beyond the diagram layer (rootsys and folding), each command imports the
 modules it runs, and json and csv only where it prints them, so a short
-command does not load the whole package.
+command does not load the whole package: reading, checking and printing
+a descriptor loads ``descriptor``, and only ``localize`` and ``verify``
+load the localization engine and its arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .folding import Marking, bps_table, parse_marking
 from .rootsys import build_diagram, enumerate_positive_roots, parse_int
 
 if TYPE_CHECKING:
-    from .localize import GeometryDescriptor
+    from .descriptor import GeometryDescriptor
 
 
 def _load_marking(args) -> Marking:
@@ -43,7 +45,7 @@ def _load_geometry(args) -> tuple[Marking, GeometryDescriptor]:
         return load_case(args.case)
     if not (args.marking and args.descriptor):
         raise ValueError("need --case, or both --marking and --descriptor")
-    from .localize import parse_descriptor, validate_descriptor
+    from .descriptor import parse_descriptor, validate_descriptor
 
     m = _load_marking(args)
     with open(args.descriptor, encoding="utf-8") as fh:
@@ -153,7 +155,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dump_descriptor(args) -> int:
     from .catalog import load_case
-    from .localize import format_descriptor
+    from .descriptor import format_descriptor
 
     _, g = load_case(args.case)
     sys.stdout.write(format_descriptor(g))

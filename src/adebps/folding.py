@@ -195,13 +195,3 @@ def parse_marking(text: str) -> Marking:
         return out
 
     return Marking(d, frozenset(nodes("black")), tuple(nodes("white")))
-
-
-def format_marking(m: Marking) -> str:
-    names = m.diagram.node_names()
-    return (
-        f"kind {m.diagram.kind}\n"
-        f"rank {m.diagram.rank}\n"
-        f"black {' '.join(names[i] for i in m.black_order)}\n"
-        f"white {' '.join(names[i] for i in m.white_order)}\n"
-    )

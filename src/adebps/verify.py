@@ -14,8 +14,9 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import catalog
+from .descriptor import validate_descriptor
 from .folding import Marking, bps_table, lift, project
-from .localize import localize_class, total_chi, validate_descriptor
+from .localize import localize_class, total_chi
 from .rootsys import (
     build_diagram,
     cartan_pairing,

@@ -11,13 +11,13 @@ from itertools import combinations, product
 from math import prod
 
 from adebps.catalog import e8_a5_descriptor, e8_a5_marking
+from adebps.descriptor import validate_descriptor
 from adebps.folding import bps_table, lift, project
 from adebps.localize import (
     bps_from_localization,
     ext_decompose,
     localize_class,
     total_chi,
-    validate_descriptor,
 )
 from adebps.rootsys import (
     build_diagram,

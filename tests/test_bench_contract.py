@@ -13,6 +13,8 @@ import contextlib
 import importlib.util
 import io
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,23 @@ def test_cli_digests(common, tmp_path):
         if (code, common.sha(out)) != (expected[key]["exit"], expected[key]["stdout"]):
             drift.append((key, argv, code))
     assert drift == []
+
+
+def test_setup_loads_no_localization_engine():
+    # the set-up step that setup_s times, as the benchmark's set-up child runs it in a
+    # fresh interpreter: case load, descriptor format, parse and validate, marking parse
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import common\n"
+        "common.setup_case(common.import_adebps())\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('adebps')))\n"
+    )
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    loaded = set(p.stdout.split())
+    assert {"adebps.catalog", "adebps.descriptor", "adebps.folding", "adebps.rootsys"} <= loaded
+    assert loaded & {"adebps.localize", "adebps.symring"} == set()
 
 
 def test_localization_digests(common):
@@ -121,7 +140,7 @@ def test_traced_names_resolve():
     finally:
         tracer.uninstall()
     assert sorted(tracer.missing) == [
-        "localize.chern_character_at", "localize.curve_contribution", "localize.point_contribution",
-        "symring.RatFn.new", "symring.to_polynomial",
+        "localize.chern_character_at", "localize.curve_contribution", "localize.parse_descriptor",
+        "localize.point_contribution", "localize.validate_descriptor", "symring.RatFn.new", "symring.to_polynomial",
     ]
     assert adebps.localize.total_chi is original

@@ -8,8 +8,8 @@ import pytest
 
 from adebps.catalog import e8_a5_descriptor, e8_a5_marking
 from adebps.cli import main
-from adebps.folding import format_marking
-from adebps.localize import DescriptorError, Incidence, format_descriptor, parse_descriptor, validate_descriptor
+from adebps.descriptor import DescriptorError, Incidence, format_descriptor, parse_descriptor, validate_descriptor
+from test_folding import format_marking
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -388,9 +388,11 @@ LOADS = [
     (["roots", "E", "8", "--format", "json"], {"json"}, DATACLASSES | ENGINE | {"csv"}),
     (["table", *CASE], {"adebps.catalog", "adebps.folding"}, DATACLASSES | ENGINE | {"json", "csv"}),
     (["table", *CASE, "--format", "csv"], {"csv"}, DATACLASSES | ENGINE | {"json"}),
-    (["localize", "3,5,4,3", *CASE], {"adebps.localize"}, DATACLASSES | {"adebps.verify", "json", "csv"}),
-    (["localize", "3,5,4,3", *CASE, "--format", "json"], {"json"}, DATACLASSES | {"adebps.verify", "csv"}),
-    (["dump-descriptor"], {"adebps.localize"}, DATACLASSES | {"adebps.verify", "json", "csv"}),
+    (["localize", "3,5,4,3", *CASE], {"adebps.descriptor", "adebps.localize"},
+     DATACLASSES | {"adebps.verify", "json", "csv"}),
+    (["localize", "3,5,4,3", *CASE, "--format", "json"], {"adebps.descriptor", "adebps.localize", "json"},
+     DATACLASSES | {"adebps.verify", "csv"}),
+    (["dump-descriptor"], {"adebps.descriptor"}, DATACLASSES | ENGINE | {"json", "csv"}),
     (["verify", "--quick"], {"adebps.verify"}, DATACLASSES | {"json", "csv"}),
 ]
 

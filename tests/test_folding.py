@@ -13,7 +13,6 @@ from adebps.folding import (
     Marking,
     bps_table,
     divisor_labels,
-    format_marking,
     lift,
     parse_marking,
     project,
@@ -389,6 +388,17 @@ def test_fiber_count_is_two_to_the_odd_neighbour_sums(marking_and_class):
     lft = lift(cls, mk)
     counts = {r.cls: r.fiber_count for r in bps_table(mk)}
     assert counts.get(cls) == (2 ** sum(k & 1 for k in lft.k) if lft.self_pairing == -2 else None)
+
+
+def format_marking(m: Marking) -> str:
+    """The marking file of m, which ``parse_marking`` reads back; the program writes none."""
+    names = m.diagram.node_names()
+    return (
+        f"kind {m.diagram.kind}\n"
+        f"rank {m.diagram.rank}\n"
+        f"black {' '.join(names[i] for i in m.black_order)}\n"
+        f"white {' '.join(names[i] for i in m.white_order)}\n"
+    )
 
 
 # Ranks stay small: a marking of rank r builds a diagram with r nodes.

@@ -12,8 +12,9 @@ import pickle
 import pytest
 
 from adebps.catalog import e8_a5_descriptor, e8_a5_marking
+from adebps.descriptor import GeometryDescriptor
 from adebps.folding import Marking, bps_table
-from adebps.localize import GeometryDescriptor, localize_class
+from adebps.localize import localize_class
 from adebps.rootsys import DynkinDiagram, build_diagram
 from adebps.verify import CheckResult
 
